@@ -9,7 +9,8 @@ presentations, and a cross-check suite.
 Signatures and other structured inputs are JSON, inline or via @file;
 root tuples are comma-separated residues ("-" or "" for genus 0).  Output
 is text by default, JSON with --json.  Exit codes: 0 success, 1 domain
-errors, 2 usage errors, 3 state-cap overflows.
+errors, 2 usage errors, 3 state-cap overflows, 4 a failed internal
+invariant (a census or witness mismatch, which is a bug).
 """
 
 from __future__ import annotations
@@ -140,10 +141,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     ctx = _context(args)
     root = _parse_root(args.tuple, ctx)
     form, witness = reduce_with_witness(root)
-    replayed = apply_word(root, witness)
-    if replayed != form.canonical_root():
-        print("ReplayMismatch: witness does not reach the canonical tuple", file=sys.stderr)
-        return 1
+    if apply_word(root, witness) != form.canonical_root():
+        raise RuntimeError("witness does not reach the canonical tuple")
     payload = {
         "form": form.to_json(),
         "canonical": list(form.canonical_coords()),
@@ -228,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap",
         type=int,
-        default=int(os.environ.get("ORBISPIN_STATE_CAP", DEFAULT_STATE_CAP)),
-        help="state cap for enumerations (env override: ORBISPIN_STATE_CAP)",
+        help="positive state cap for enumerations (default: $ORBISPIN_STATE_CAP, "
+        f"else {DEFAULT_STATE_CAP})",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
@@ -296,9 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.cap is None:
+            args.cap = int(os.environ.get("ORBISPIN_STATE_CAP", DEFAULT_STATE_CAP))
+        if args.cap < 1:
+            raise ValueError(f"the state cap must be positive, got {args.cap}")
         return args.func(args)
     except _DOMAIN_ERRORS as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
@@ -309,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"UsageError: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        print(f"InvariantError: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -16,13 +16,25 @@ conditions are decided here without ever leaving exact arithmetic.
 
 from __future__ import annotations
 
-import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Any
 
 from .errors import NotHyperbolic
+
+
+def _as_int(value: Any, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int, with no coercion: bool, floats and other
+    non-integers raise ValueError, and so do values below ``minimum``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -37,15 +49,9 @@ class OrbifoldSignature:
     cone_multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cone_multiplicities", tuple(int(a) for a in self.cone_multiplicities)
-        )
-        if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        object.__setattr__(self, "genus", int(self.genus))
-        for a in self.cone_multiplicities:
-            if a < 2:
-                raise ValueError(f"cone multiplicities must be >= 2, got {a}")
+        object.__setattr__(self, "genus", _as_int(self.genus, "genus", 0))
+        cones = tuple(_as_int(a, "cone multiplicity", 2) for a in self.cone_multiplicities)
+        object.__setattr__(self, "cone_multiplicities", cones)
 
     @property
     def num_cone_points(self) -> int:
@@ -105,9 +111,7 @@ def root_order_admissible(sig: OrbifoldSignature, r: int) -> bool:
     means divisibility of its absolute value).
     """
     assert_hyperbolic(sig)
-    if not isinstance(r, numbers.Integral) or r < 1:
-        raise ValueError(f"covering order must be a positive integer, got {r!r}")
-    r = int(r)
+    r = _as_int(r, "covering order", 1)
     if any(gcd(r, a) != 1 for a in sig.cone_multiplicities):
         return False
     return abs(multiplicity_product_chi(sig)) % r == 0

@@ -2,28 +2,41 @@
 
 States are packed into mixed-radix integers (base r, big-endian, so index
 order is lexicographic order of tuples) and the search works on numpy index
-arrays: each generator image of a whole frontier is computed by vectorised
-digit arithmetic, so no per-state Python objects are created.  Orbits are
-discovered in ascending order of their lexicographically minimal member,
-which therefore serves as the representative.
+arrays, so no per-state Python objects are created.  Orbits are discovered
+in ascending order of their lexicographically minimal member, which
+therefore serves as the representative.
+
+The search needs neither a sort nor the inverse twists.  Each generator is a
+bijection of Z_r^{2g}, so it maps the distinct states of a frontier to
+distinct images: the images not yet marked in ``visited`` are new and
+distinct, and once marked, later generators find any repeats.  Each
+generator has finite order, so its inverse is a positive power of it and the
+closure under the generators alone is the whole orbit.  A frontier is
+decoded into its 2g digit arrays once, in bounded chunks; the generator
+images and the label check are built from those digits.
+
+The twist formulas read only (g, r), never the cone data, so the partition
+under a validated generator set is memoised per process; the state cap is
+still checked on every call.
 
 The closed-form counts implemented alongside: for genus >= 2 and even r the
 action has exactly two orbits, of sizes r^{2g} (2^g + 1) / 2^{g+1} and
 r^{2g} (2^g - 1) / 2^{g+1} (even/odd Arf-type parity); for odd r it is
 transitive.  For genus 1 the orbit of (0, d) consists of the pairs
-generating the same ideal of Z_r as the divisor d, counted directly (the
-count equals the Jordan totient J_2(r/d), kept as an internal cross-check).
+generating the same ideal of Z_r as the divisor d; there are J_2(r/d) of
+them, J_2 being the Jordan totient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Any, Iterable, Sequence
+from functools import cache
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CountOverflow
+from .orbifold import divisors
 from .roots import DEFAULT_STATE_CAP, RootTuple
 from .seifert import RootContext
 from .twists import (
@@ -77,56 +90,91 @@ class OrbitPartition:
 
 def standard_generators(genus: int) -> tuple[TwistGenerator, ...]:
     """The unit twists u_1, v_1, ..., u_g, v_g, w_1, ..., w_{g-1}."""
-    gens: list[TwistGenerator] = []
-    for i in range(1, genus + 1):
-        gens.append(TwistGenerator("U", i))
-        gens.append(TwistGenerator("V", i))
-    for i in range(1, genus):
-        gens.append(TwistGenerator("W", i))
-    return tuple(gens)
+    handles = [TwistGenerator(family, i) for i in range(1, genus + 1) for family in "UV"]
+    return tuple(handles + [TwistGenerator("W", i) for i in range(1, genus)])
+
+
+# states decoded at a time: bounds the digit and image arrays of one step
+_CHUNK = 1 << 15
 
 
 def _weights(r: int, genus: int) -> list[int]:
     return [r ** (2 * genus - 1 - a) for a in range(2 * genus)]
 
 
-def _validate_generator(gen: TwistGenerator, genus: int) -> None:
-    limit = genus if gen.family in ("U", "V") else genus - 1
-    if not 1 <= gen.index <= limit:
-        raise ValueError(f"{gen.family}-twist index {gen.index} out of range for genus {genus}")
+def _validated(generators: Iterable[TwistGenerator] | None, genus: int) -> tuple[TwistGenerator, ...]:
+    gens = standard_generators(genus) if generators is None else tuple(generators)
+    for gen in gens:
+        limit = genus if gen.family in ("U", "V") else genus - 1
+        if not 1 <= gen.index <= limit:
+            raise ValueError(f"{gen.family}-twist index {gen.index} out of range for genus {genus}")
+    return gens
 
 
-def _apply_indices(idx: np.ndarray, r: int, genus: int, gen: TwistGenerator) -> np.ndarray:
-    """Vectorised generator image of packed states."""
+def _mod(x: np.ndarray, r: int) -> np.ndarray:
+    # x % r for x >= 0: numpy divides int64 by a scalar much faster than it
+    # takes the remainder, above all of negative numbers
+    return x - (x // r) * r
+
+
+def _digits(states: np.ndarray, r: int, count: int) -> list[np.ndarray]:
+    """The ``count`` base-r digits of packed states, most significant first."""
+    digits = []
+    for _ in range(count):
+        quotient = states // r
+        digits.append(states - quotient * r)
+        states = quotient
+    return digits[::-1]
+
+
+def _delta(digits: list[np.ndarray], r: int, w: list[int], move: tuple[str, int, int]) -> np.ndarray:
+    """Index change of each state under one twist power m in [1, r - 1].
+
+    The subtracted terms are written with r - m and with the separating-curve
+    value omega = s_i - s_{i+1} + 1 shifted by r, so every operand of
+    ``_mod`` is non-negative.
+    """
+    family, i, m = move
+    s, t = digits[2 * i], digits[2 * i + 1]
+    if family == "U":  # t_i <- t_i - m s_i
+        return (_mod(t + (r - m) * s, r) - t) * w[2 * i + 1]
+    if family == "V":  # s_i <- s_i + m t_i
+        return (_mod(s + m * t, r) - s) * w[2 * i]
+    # t_i <- t_i - m omega,  t_{i+1} <- t_{i+1} + m omega
+    omega = s - digits[2 * i + 2] + (r + 1)
+    t2 = digits[2 * i + 3]
+    t2_new = _mod(t2 + m * omega, r)
+    return (_mod(t + (r - m) * omega, r) - t) * w[2 * i + 1] + (t2_new - t2) * w[2 * i + 3]
+
+
+def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[TwistGenerator, ...]):
+    """Breadth-first search from ``seed``: yields each chunk of each level as
+    (states, digits) and marks every state it reaches in ``visited``.
+
+    One generator is a bijection, so its images of distinct states are
+    distinct; those not yet visited are new and need no further dedupe.
+    A power divisible by r acts trivially and is dropped.
+    """
+    moves = dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r)
     w = _weights(r, genus)
-    i = gen.index - 1
-    m = gen.power
-    if gen.family == "U":
-        ws, wt = w[2 * i], w[2 * i + 1]
-        s = (idx // ws) % r
-        t = (idx // wt) % r
-        return idx + (((t - m * s) % r) - t) * wt
-    if gen.family == "V":
-        ws, wt = w[2 * i], w[2 * i + 1]
-        s = (idx // ws) % r
-        t = (idx // wt) % r
-        return idx + (((s + m * t) % r) - s) * ws
-    ws1, wt1, ws2, wt2 = w[2 * i], w[2 * i + 1], w[2 * i + 2], w[2 * i + 3]
-    s1 = (idx // ws1) % r
-    t1 = (idx // wt1) % r
-    s2 = (idx // ws2) % r
-    t2 = (idx // wt2) % r
-    shift = s1 - s2 + 1
-    d1 = ((t1 - m * shift) % r) - t1
-    d2 = ((t2 + m * shift) % r) - t2
-    return idx + d1 * wt1 + d2 * wt2
+    visited[seed] = True
+    frontier = np.array([seed], dtype=np.int64)
+    while frontier.size:
+        level = [frontier[:0]]
+        for start in range(0, frontier.size, _CHUNK):
+            states = frontier[start : start + _CHUNK]
+            digits = _digits(states, r, 2 * genus)
+            yield states, digits
+            for move in moves:
+                image = states + _delta(digits, r, w, move)
+                fresh = image[~visited[image]]
+                visited[fresh] = True
+                level.append(fresh)
+        frontier = np.concatenate(level)
 
 
 def _decode(index: int, r: int, genus: int) -> tuple[int, ...]:
-    coords = []
-    for w in _weights(r, genus):
-        coords.append((index // w) % r)
-    return tuple(coords)
+    return tuple((index // w) % r for w in _weights(r, genus))
 
 
 def _encode(coords: Sequence[int], r: int) -> int:
@@ -134,42 +182,6 @@ def _encode(coords: Sequence[int], r: int) -> int:
     for c in coords:
         index = index * r + (c % r)
     return index
-
-
-def _signed_pairs(
-    generators: Iterable[TwistGenerator], genus: int
-) -> tuple[TwistGenerator, ...]:
-    out: list[TwistGenerator] = []
-    for gen in generators:
-        _validate_generator(gen, genus)
-        out.append(gen)
-        out.append(gen.inverse())
-    return tuple(out)
-
-
-def _component(
-    seed: int,
-    visited: np.ndarray,
-    r: int,
-    genus: int,
-    gens_pm: tuple[TwistGenerator, ...],
-) -> np.ndarray:
-    """All states reachable from seed; marks them in ``visited``."""
-    visited[seed] = True
-    chunks = [np.array([seed], dtype=np.int64)]
-    frontier = chunks[0]
-    while frontier.size:
-        if gens_pm:
-            images = np.concatenate([_apply_indices(frontier, r, genus, g) for g in gens_pm])
-            fresh = np.unique(images)
-            fresh = fresh[~visited[fresh]]
-        else:
-            fresh = frontier[:0]
-        visited[fresh] = True
-        if fresh.size:
-            chunks.append(fresh)
-        frontier = fresh
-    return np.concatenate(chunks)
 
 
 def _check_state_count(r: int, genus: int, cap: int | None) -> int:
@@ -186,12 +198,10 @@ def orbit_of(
 ) -> set[RootTuple]:
     """Closure of one root under the twist generators and their inverses."""
     r, g = root.order, root.genus
-    _check_state_count(r, g, cap)
-    gens = standard_generators(g) if generators is None else tuple(generators)
-    gens_pm = _signed_pairs(gens, g)
-    visited = np.zeros(r ** (2 * g), dtype=bool)
-    members = _component(_encode(root.coords, r), visited, r, g, gens_pm)
-    return {RootTuple(r, _decode(int(ix), r, g)) for ix in members}
+    total = _check_state_count(r, g, cap)
+    gens = _validated(generators, g)
+    levels = _levels(_encode(root.coords, r), np.zeros(total, dtype=bool), r, g, gens)
+    return {RootTuple(r, _decode(int(ix), r, g)) for states, _ in levels for ix in states}
 
 
 def partition_orbits(
@@ -203,47 +213,48 @@ def partition_orbits(
 
     Each orbit is labelled by the canonical form of its representative (the
     lexicographically least member), and the whole orbit is checked to share
-    that form; a mixed orbit would raise RuntimeError.
+    that form; a mixed orbit would raise RuntimeError.  Only (g, r) and the
+    generators matter, so the result is memoised on them; the cap is checked
+    on every call.
     """
-    r, g = ctx.order, ctx.genus
-    total = _check_state_count(r, g, cap)
-    gens = standard_generators(g) if generators is None else tuple(generators)
-    gens_pm = _signed_pairs(gens, g)
-    visited = np.zeros(total, dtype=bool)
+    _check_state_count(ctx.order, ctx.genus, cap)
+    return _partition(ctx.order, ctx.genus, _validated(generators, ctx.genus))
+
+
+@cache
+def _partition(r: int, genus: int, gens: tuple[TwistGenerator, ...]) -> OrbitPartition:
+    visited = np.zeros(r ** (2 * genus), dtype=bool)
+    invariant = _invariant(r, genus)
     records: list[OrbitRecord] = []
-    while True:
-        remaining = np.flatnonzero(~visited)
-        if remaining.size == 0:
-            break
-        seed = int(remaining[0])
-        members = _component(seed, visited, r, g, gens_pm)
-        rep = RootTuple(r, _decode(seed, r, g))
+    seed = 0
+    while not visited[seed]:
+        rep = RootTuple(r, _decode(seed, r, genus))
         label = canonical_form(rep)
-        _assert_uniform_label(members, r, g, label)
-        records.append(OrbitRecord(rep, int(members.size), label))
-    return OrbitPartition(r, g, tuple(records))
+        # the Arf-type parity is g mod 2 exactly on the all-zero class
+        expected = label.d if genus == 1 else (genus + (label.kind != KIND_ALL_ZERO)) % 2
+        size = 0
+        for states, digits in _levels(seed, visited, r, genus, gens):
+            size += states.size
+            if invariant is not None and not np.all(invariant(digits) == expected):
+                raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
+        records.append(OrbitRecord(rep, size, label))
+        seed += int(visited[seed:].argmin())  # the next unvisited state, if any
+    return OrbitPartition(r, genus, tuple(records))
 
 
-def _assert_uniform_label(members: np.ndarray, r: int, genus: int, label: StandardForm) -> None:
+def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:
+    """The twist invariant that tells the labels apart, computed from decoded
+    digits; None when (g, r) has a single label."""
     if genus == 0 or (genus >= 2 and r % 2 == 1):
-        return  # only one possible label
-    w = _weights(r, genus)
+        return None
     if genus == 1:
-        s = (members // w[0]) % r
-        t = (members // w[1]) % r
-        d = np.gcd(np.gcd(s, t), r)
-        if not np.all(d == label.d):
-            raise RuntimeError("orbit mixes distinct genus-1 divisor classes")
-        return
-    parity = np.zeros(members.shape, dtype=np.int64)
-    for i in range(genus):
-        s = (members // w[2 * i]) % r
-        t = (members // w[2 * i + 1]) % r
-        parity += (s + 1) * (t + 1)
-    parity %= 2
-    expected = genus % 2 if label.kind == KIND_ALL_ZERO else (genus + 1) % 2
-    if not np.all(parity == expected):
-        raise RuntimeError("orbit mixes distinct parity classes")
+        # gcd(s, t, r) = gcd(gcd(s, r), gcd(t, r)), looked up by the position
+        # of gcd(x, r) among the divisors of r
+        divs = np.array(divisors(r))
+        position = np.searchsorted(divs, np.gcd(np.arange(r), r))
+        meet = np.gcd.outer(divs, divs)
+        return lambda digits: meet[position[digits[0]], position[digits[1]]]
+    return lambda digits: sum((digits[2 * i] + 1) * (digits[2 * i + 1] + 1) for i in range(genus)) & 1
 
 
 def orbit_count_closed_form(genus: int, r: int) -> int | tuple[int, int]:
@@ -271,21 +282,14 @@ def orbit_count_closed_form(genus: int, r: int) -> int | tuple[int, int]:
 def genus_one_orbit_size(r: int, d: int) -> int:
     """Number of pairs (s, t) in Z_r^2 generating the same ideal as d.
 
-    Counted directly over Z_r^2, with gcd(s, t, r) normalised so the zero
-    pair belongs to d = r.  Cross-checked against the Jordan totient
-    J_2(r/d).
+    With gcd(s, t, r) normalised so the zero pair belongs to d = r, the count
+    is the Jordan totient J_2(r/d).
     """
     if r < 1:
         raise ValueError(f"order must be a positive integer, got {r!r}")
     if d < 1 or r % d != 0:
         raise ValueError(f"{d} does not divide {r}")
-    count = 0
-    for s in range(r):
-        for t in range(r):
-            if gcd(s, t, r) == d:
-                count += 1
-    assert count == _jordan_totient_2(r // d)
-    return count
+    return _jordan_totient_2(r // d)
 
 
 def _jordan_totient_2(m: int) -> int:

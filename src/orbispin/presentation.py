@@ -81,13 +81,12 @@ class Presentation:
         lines = [f"generators: {names}"]
         if decorated:
             for g in self.generators:
-                base = g.name if g.name != "h" else "h"
                 if g.name == "h":
                     lines.append(f"  {_display(g.name, True)} := h^{g.shift}")
                 elif g.shift:
-                    lines.append(f"  {_display(g.name, True)} := {base} h^{-g.shift}")
+                    lines.append(f"  {_display(g.name, True)} := {g.name} h^{-g.shift}")
                 else:
-                    lines.append(f"  {_display(g.name, True)} := {base}")
+                    lines.append(f"  {_display(g.name, True)} := {g.name}")
         lines.append("relations:")
         for rel in self.relations:
             lines.append(f"  {_render_word(rel.lhs, decorated)} = {_render_word(rel.rhs, decorated)}")

@@ -11,12 +11,12 @@ full homomorphism is reconstructed on demand from a :class:`RootContext`.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterator
 
 from .errors import CountOverflow
+from .orbifold import _as_int
 from .seifert import RootContext
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -30,15 +30,11 @@ class RootTuple:
     coords: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, numbers.Integral) or self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "order", int(self.order))
-        for c in self.coords:
-            if not isinstance(c, numbers.Integral):
-                raise ValueError(f"coordinates must be integers, got {c!r}")
+        r = _as_int(self.order, "order", 1)
+        object.__setattr__(self, "order", r)
         if len(self.coords) % 2 != 0:
             raise ValueError("a root tuple has an even number of coordinates")
-        object.__setattr__(self, "coords", tuple(int(c) % self.order for c in self.coords))
+        object.__setattr__(self, "coords", tuple(_as_int(c, "coordinate") % r for c in self.coords))
 
     @property
     def genus(self) -> int:

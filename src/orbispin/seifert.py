@@ -22,13 +22,12 @@ process, recovering r from given normalised invariants or rejecting them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .errors import InadmissibleOrder, NotSL2Quotient
-from .orbifold import OrbifoldSignature, assert_hyperbolic, chi_orb, root_order_admissible
+from .orbifold import OrbifoldSignature, _as_int, assert_hyperbolic, chi_orb, root_order_admissible
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,15 @@ class SeifertInvariants:
     multiple_fibres: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        if not isinstance(self.obstruction, numbers.Integral):
-            raise ValueError(f"obstruction must be an integer, got {self.obstruction!r}")
-        object.__setattr__(self, "genus", int(self.genus))
-        object.__setattr__(self, "obstruction", int(self.obstruction))
-        pairs = tuple((int(a), int(b)) for a, b in self.multiple_fibres)
+        object.__setattr__(self, "genus", _as_int(self.genus, "genus", 0))
+        object.__setattr__(self, "obstruction", _as_int(self.obstruction, "obstruction"))
+        pairs = tuple(
+            (_as_int(a, "fibre multiplicity", 2), _as_int(b, "fibre invariant beta", 1))
+            for a, b in self.multiple_fibres
+        )
         object.__setattr__(self, "multiple_fibres", pairs)
         for a, b in pairs:
-            if a < 2:
-                raise ValueError(f"fibre multiplicity must be >= 2, got {a}")
-            if not 1 <= b <= a - 1:
+            if b > a - 1:
                 raise ValueError(f"pair ({a}, {b}) is not normalised: need 1 <= beta <= alpha-1")
 
     def base_signature(self) -> OrbifoldSignature:
@@ -75,8 +71,10 @@ class SeifertInvariants:
     def from_json(cls, data: Any) -> "SeifertInvariants":
         if not isinstance(data, dict) or not {"genus", "b", "pairs"} <= set(data):
             raise ValueError('invariants JSON must be {"genus": g, "b": b, "pairs": [[a, b], ...]}')
-        pairs = tuple((p[0], p[1]) for p in data["pairs"])
-        return cls(data["genus"], data["b"], pairs)
+        pairs = data["pairs"]
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ValueError("pairs must be a list of [alpha, beta] integer pairs")
+        return cls(data["genus"], data["b"], tuple(map(tuple, pairs)))
 
 
 @dataclass(frozen=True)

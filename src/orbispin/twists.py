@@ -30,12 +30,12 @@ the canonical representative.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Iterable
 
 from .errors import OddOrder
+from .orbifold import _as_int
 from .roots import RootTuple
 
 KIND_GENUS0 = "genus0"
@@ -62,12 +62,10 @@ class TwistGenerator:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if not isinstance(self.index, numbers.Integral) or self.index < 1:
-            raise ValueError(f"index must be a positive integer, got {self.index!r}")
-        if not isinstance(self.power, numbers.Integral) or self.power == 0:
-            raise ValueError(f"power must be a nonzero integer, got {self.power!r}")
-        object.__setattr__(self, "index", int(self.index))
-        object.__setattr__(self, "power", int(self.power))
+        object.__setattr__(self, "index", _as_int(self.index, "index", 1))
+        object.__setattr__(self, "power", _as_int(self.power, "power"))
+        if self.power == 0:
+            raise ValueError("power must be a nonzero integer, got 0")
 
     def inverse(self) -> "TwistGenerator":
         return TwistGenerator(self.family, self.index, -self.power)

@@ -145,6 +145,51 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", '{"genus":1,"cone_points":[3.9]}'),
+        ("chi", '{"genus":true,"cone_points":[3]}'),
+        ("chi", '{"genus":1,"cone_points":[null]}'),
+        ("recognize", '{"genus":1,"b":0,"pairs":[[3.7,1]]}'),
+        ("recognize", '{"genus":1,"b":0,"pairs":[5]}'),
+        ("twist", SIG_G1C3, "2", "0,1", '[{"family":"V","index":1,"power":1.5}]'),
+        ("moduli", SIG_G2, "2", "--cap", "0"),
+        ("moduli", SIG_G2, "2", "--cap", "-4"),
+    ],
+)
+def test_non_integers_and_bad_caps_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("UsageError:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+def test_bad_state_cap_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("ORBISPIN_STATE_CAP", value)
+    code, _, err = run(capsys, "chi", SIG_G2)
+    assert code == 2
+    assert err.startswith("UsageError:")
+
+
+def test_failed_invariant_exits_four(monkeypatch, capsys):
+    import orbispin.cli as cli
+
+    def mismatch(ctx, state_cap):
+        raise RuntimeError("census disagrees with brute-force orbits")
+
+    monkeypatch.setattr(cli, "moduli_report", mismatch)
+    code, _, err = run(capsys, "moduli", SIG_G2, "2")
+    assert code == 4
+    assert err.startswith("InvariantError: census disagrees")
+
+    monkeypatch.setattr(cli, "apply_word", lambda root, word: root)
+    code, _, err = run(capsys, "reduce", '{"genus":1,"cone_points":[7]}', "6", "4,2")
+    assert code == 4
+    assert err.startswith("InvariantError: witness")
+
+
 def test_verify_small_grid(capsys):
     code, out, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r=4", "--seed", "1")
     assert code == 0

@@ -1,11 +1,15 @@
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from orbispin import (
     NotHyperbolic,
     OrbifoldSignature,
+    RootTuple,
+    SeifertInvariants,
+    TwistGenerator,
     admissible_root_orders,
     assert_hyperbolic,
     chi_orb,
@@ -140,3 +144,23 @@ def test_divisors():
 def test_is_hyperbolic_matches_sign():
     assert is_hyperbolic(OrbifoldSignature(0, (2, 3, 7)))
     assert not is_hyperbolic(OrbifoldSignature(0, (2, 4, 4)))
+
+
+def test_integer_fields_refuse_bool_floats_and_none():
+    for bad in (True, 3.0, 3.9, None, "3"):
+        with pytest.raises(ValueError):
+            OrbifoldSignature(1, (bad,))
+        with pytest.raises(ValueError):
+            OrbifoldSignature(bad)
+        with pytest.raises(ValueError):
+            TwistGenerator("U", 1, bad)
+        with pytest.raises(ValueError):
+            RootTuple(5, (bad, 0))
+        with pytest.raises(ValueError):
+            SeifertInvariants(1, 0, ((5, bad),))
+    with pytest.raises(ValueError):
+        root_order_admissible(OrbifoldSignature(2), True)
+    # numpy integers are integers, and come out as plain ints
+    sig = OrbifoldSignature(np.int64(2), (np.int32(3),))
+    assert sig.to_json() == {"genus": 2, "cone_points": [3]}
+    assert type(sig.genus) is int and type(sig.cone_multiplicities[0]) is int

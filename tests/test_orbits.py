@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -13,8 +14,16 @@ from orbispin import (
     orbit_of,
     partition_orbits,
     solve_raymond_vasquez,
+    standard_generators,
 )
-from helpers import CENSUS_SIGNATURES, genus_one_signature
+from helpers import (
+    CENSUS_SIGNATURES,
+    bfs_orbit,
+    bfs_partition,
+    context_for,
+    genus_one_pair_count,
+    genus_one_signature,
+)
 
 
 def _ctx(genus, r):
@@ -83,6 +92,12 @@ def test_genus_one_orbit_size_examples():
     assert genus_one_orbit_size(4, 2) == 3
     with pytest.raises(ValueError):
         genus_one_orbit_size(6, 4)
+
+
+def test_genus_one_orbit_size_matches_pair_count():
+    for r in range(1, 61):
+        for d in divisors(r):
+            assert genus_one_orbit_size(r, d) == genus_one_pair_count(r, d), (r, d)
 
 
 def test_genus_one_orbit_sizes_sum_to_r_squared():
@@ -162,3 +177,62 @@ def test_partition_json_shape():
 def test_invalid_generator_rejected():
     with pytest.raises(ValueError):
         partition_orbits(_ctx(2, 2), generators=[TwistGenerator("W", 2)])
+
+
+# every (g, r) with r^{2g} <= 4096; genus 0 has a single state at every r
+_SMALL = [
+    (g, r) for g in range(7) for r in range(1, 65) if r ** (2 * g) <= 4096 and (g or r <= 16)
+]
+
+
+def _records(partition):
+    return [(rec.representative.coords, rec.size) for rec in partition.orbits]
+
+
+def test_partition_matches_tuple_bfs():
+    for genus, r in _SMALL:
+        standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
+        partition = partition_orbits(context_for(genus, r))
+        assert _records(partition) == bfs_partition(r, genus, standard), (genus, r)
+
+
+def test_partition_matches_tuple_bfs_for_other_powers():
+    # powers 2 and -3 of every unit twist generate the same group
+    for genus, r in _SMALL:
+        powers = [(g.family, g.index, m) for g in standard_generators(genus) for m in (2, -3)]
+        gens = [TwistGenerator(*p) for p in powers]
+        partition = partition_orbits(context_for(genus, r), generators=gens)
+        assert _records(partition) == bfs_partition(r, genus, powers), (genus, r)
+
+
+def test_single_twist_orbits_match_tuple_bfs():
+    # one generator at a time: a wrong formula can still give the right
+    # partition, but not the right cycles of each generator
+    for genus, r in [(1, 6), (2, 3), (2, 4), (3, 2)]:
+        for gen in standard_generators(genus):
+            for m in (1, 2, -3):
+                letter = (gen.family, gen.index, m)
+                for coords in product(range(r), repeat=2 * genus):
+                    orbit = orbit_of(RootTuple(r, coords), generators=[TwistGenerator(*letter)])
+                    assert {t.coords for t in orbit} == bfs_orbit(coords, r, [letter])
+
+
+def test_memoised_partition_still_checks_the_cap():
+    partition_orbits(_ctx(2, 2))
+    with pytest.raises(CountOverflow):
+        partition_orbits(_ctx(2, 2), cap=15)
+
+
+def test_memo_keeps_generator_sets_apart():
+    ctx = solve_raymond_vasquez(genus_one_signature(4), 4)
+    assert len(partition_orbits(ctx).orbits) == 3
+    # u_1 alone fixes (0, 1) and (0, 3), two orbits with the same label
+    with pytest.raises(ValueError):
+        partition_orbits(ctx, generators=[TwistGenerator("U", 1)])
+
+
+def test_memo_ignores_cone_data():
+    closed = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2), 2))
+    coned = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2, (3,)), 2))
+    assert coned == closed
+    assert coned is closed
