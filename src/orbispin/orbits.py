@@ -15,9 +15,9 @@ closure under the generators alone is the whole orbit.  A frontier is
 decoded into its 2g digit arrays once, in bounded chunks; the generator
 images and the label check are built from those digits.
 
-The twist formulas read only (g, r), never the cone data, so the partition
-under a validated generator set is memoised per process; the state cap is
-still checked on every call.
+The twist formulas read only (g, r), never the cone data.  Nothing is
+cached between calls: the cost of a partition depends only on its own
+(g, r) and generators, never on which calls came before it.
 
 The closed-form counts implemented alongside: for genus >= 2 and even r the
 action has exactly two orbits, of sizes r^{2g} (2^g + 1) / 2^{g+1} and
@@ -30,7 +30,6 @@ them, J_2 being the Jordan totient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -213,17 +212,12 @@ def partition_orbits(
 
     Each orbit is labelled by the canonical form of its representative (the
     lexicographically least member), and the whole orbit is checked to share
-    that form; a mixed orbit would raise RuntimeError.  Only (g, r) and the
-    generators matter, so the result is memoised on them; the cap is checked
-    on every call.
+    that form; a mixed orbit would raise RuntimeError.
     """
-    _check_state_count(ctx.order, ctx.genus, cap)
-    return _partition(ctx.order, ctx.genus, _validated(generators, ctx.genus))
-
-
-@cache
-def _partition(r: int, genus: int, gens: tuple[TwistGenerator, ...]) -> OrbitPartition:
-    visited = np.zeros(r ** (2 * genus), dtype=bool)
+    r, genus = ctx.order, ctx.genus
+    total = _check_state_count(r, genus, cap)
+    gens = _validated(generators, genus)
+    visited = np.zeros(total, dtype=bool)
     invariant = _invariant(r, genus)
     records: list[OrbitRecord] = []
     seed = 0

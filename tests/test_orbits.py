@@ -217,13 +217,7 @@ def test_single_twist_orbits_match_tuple_bfs():
                     assert {t.coords for t in orbit} == bfs_orbit(coords, r, [letter])
 
 
-def test_memoised_partition_still_checks_the_cap():
-    partition_orbits(_ctx(2, 2))
-    with pytest.raises(CountOverflow):
-        partition_orbits(_ctx(2, 2), cap=15)
-
-
-def test_memo_keeps_generator_sets_apart():
+def test_partition_uses_the_given_generators():
     ctx = solve_raymond_vasquez(genus_one_signature(4), 4)
     assert len(partition_orbits(ctx).orbits) == 3
     # u_1 alone fixes (0, 1) and (0, 3), two orbits with the same label
@@ -231,8 +225,7 @@ def test_memo_keeps_generator_sets_apart():
         partition_orbits(ctx, generators=[TwistGenerator("U", 1)])
 
 
-def test_memo_ignores_cone_data():
+def test_partition_ignores_cone_data():
     closed = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2), 2))
     coned = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2, (3,)), 2))
     assert coned == closed
-    assert coned is closed
