@@ -92,10 +92,11 @@ class RootContext:
     euler_number: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "twist_integers", tuple(int(k) for k in self.twist_integers))
+        object.__setattr__(self, "order", _as_int(self.order, "order", 1))
+        object.__setattr__(
+            self, "twist_integers", tuple(_as_int(k, "twist integer") for k in self.twist_integers)
+        )
         sig, r, inv = self.signature, self.order, self.invariants
-        if r < 1:
-            raise ValueError(f"order must be positive, got {r}")
         if inv.genus != sig.genus:
             raise ValueError("invariants and signature disagree on genus")
         alphas = tuple(a for a, _ in inv.multiple_fibres)
@@ -133,7 +134,7 @@ class RootContext:
     def from_json(cls, data: Any) -> "RootContext":
         sig = OrbifoldSignature.from_json(data["signature"])
         inv = SeifertInvariants(sig.genus, data["b"], tuple((p[0], p[1]) for p in data["pairs"]))
-        return cls(sig, int(data["r"]), inv, tuple(data["k"]), Fraction(data["euler_number"]))
+        return cls(sig, data["r"], inv, tuple(data["k"]), Fraction(data["euler_number"]))
 
 
 def solve_raymond_vasquez(sig: OrbifoldSignature, r: int) -> RootContext:

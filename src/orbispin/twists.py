@@ -25,7 +25,9 @@ is odd, two forms distinguished by an Arf-type parity
 when r is even (the parity is well defined only for even r and is preserved
 by every twist).  ``reduce_with_witness`` returns the canonical form of a
 tuple together with an explicit twist word whose replay lands exactly on
-the canonical representative.
+the canonical representative.  The word has O(g log r) letters: a signed
+Euclidean algorithm on each handle, one w-power per merge, and a single
+block W^m . flip . W^m that moves the last t-entry by 2m at once.
 """
 
 from __future__ import annotations
@@ -127,18 +129,17 @@ def _apply_inplace(coords: list[int], r: int, genus: int, family: str, index: in
 
 def apply_generator(root: RootTuple, gen: TwistGenerator) -> RootTuple:
     """Act on a root tuple by one (power of a) basic Dehn twist."""
-    coords = list(root.coords)
-    _apply_inplace(coords, root.order, root.genus, gen.family, gen.index, gen.power)
-    return RootTuple(root.order, tuple(coords))
+    return apply_word(root, (gen,))
 
 
 def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> RootTuple:
-    """Fold :func:`apply_generator` over a word; the empty word is the identity."""
+    """Apply the letters of a word left to right; the empty word is the identity."""
     generators = word.word if isinstance(word, TwistWord) else tuple(word)
     coords = list(root.coords)
+    r, genus = root.order, root.genus
     for gen in generators:
-        _apply_inplace(coords, root.order, root.genus, gen.family, gen.index, gen.power)
-    return RootTuple(root.order, tuple(coords))
+        _apply_inplace(coords, r, genus, gen.family, gen.index, gen.power)
+    return RootTuple(r, tuple(coords))
 
 
 def w_value(root: RootTuple, i: int) -> int:
@@ -179,8 +180,10 @@ class StandardForm:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_GENUS0, KIND_GENUS1, KIND_ALL_ZERO, KIND_LAST_ONE):
             raise ValueError(f"unknown standard form kind {self.kind!r}")
-        if self.order < 1:
-            raise ValueError("order must be positive")
+        object.__setattr__(self, "order", _as_int(self.order, "order", 1))
+        object.__setattr__(self, "genus", _as_int(self.genus, "genus", 0))
+        if self.d is not None:
+            object.__setattr__(self, "d", _as_int(self.d, "d"))
         if self.kind == KIND_GENUS0 and self.genus != 0:
             raise ValueError("genus0 form requires genus 0")
         if self.kind == KIND_GENUS1:
@@ -264,11 +267,15 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
 
     The returned word w satisfies apply_word(root, w) == canonical tuple.
     Strategy: a signed Euclidean algorithm with u/v twists turns each handle
-    pair into (0, d_i) with d_i the normalised divisor gcd(s_i, t_i, r);
-    for genus >= 2, w twists (whose shift is 1 once all s-entries vanish)
-    merge the d_i into the last slot, and a w/flip/w sequence steps the last
-    entry by +-2 until it reaches its canonical value (0, or 1 for even r
-    and odd parity; steps of 2 generate all of Z_r when r is odd).
+    pair into (0, d_i) with d_i the normalised divisor gcd(s_i, t_i, r).
+    For genus >= 2 every s-entry is now 0, so every separating-curve value
+    is 1 and W_i^{t_i} moves t_i into t_{i+1}, leaving t_i = 0.  Then one
+    block W^m . flip . W^m on handle g-1 takes the last entry t to its
+    canonical value (0, or 1 for even r and odd parity): W^m turns
+    (t_{g-1}, t_g) = (0, t) into (-m, t + m), the flip negates t_{g-1} and
+    the second W^m returns it to 0, for a net t + 2m.  So m solves
+    2m = target - t (mod r) with |m| <= r/2: (target - t)/2 for even r,
+    where target = t mod 2, and (target - t) * 2^{-1} mod r for odd r.
     """
     form = canonical_form(root)
     r, g = root.order, root.genus
@@ -278,11 +285,9 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
     def emit(family: str, index: int, power: int) -> None:
         # the action of a power only depends on it mod r; keep words short
         power = _signed_residue(power, r)
-        if power == 0:
-            return
-        gen = TwistGenerator(family, index, power)
-        _apply_inplace(state, r, g, family, index, power)
-        word.append(gen)
+        if power:
+            _apply_inplace(state, r, g, family, index, power)
+            word.append(TwistGenerator(family, index, power))
 
     def reduce_handle(i: int) -> None:
         # signed Euclid until one slot of handle i (0-based) vanishes mod r;
@@ -311,12 +316,6 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
                 emit("U", i + 1, -1)  # (d, 0) -> (d, d)
                 emit("V", i + 1, -1)  # (d, d) -> (0, d)
 
-    def flip_t_sign(i: int) -> None:
-        # (0, t) -> (0, -t) on handle i (0-based)
-        emit("V", i + 1, -1)
-        emit("U", i + 1, -2)
-        emit("V", i + 1, -1)
-
     for i in range(g):
         reduce_handle(i)
 
@@ -330,17 +329,17 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
         last = state[2 * g - 1]
         target = 0 if r % 2 == 1 else last % 2
         up = (target - last) % r
-        down = (last - target) % r
+        # the least |m| with 2m = up (mod r); (r + 1)/2 inverts 2 mod odd r
         if r % 2 == 0:
-            steps, direction = (up // 2, 1) if up <= down else (down // 2, -1)
-        elif up % 2 == 0:
-            steps, direction = up // 2, 1
+            m = _signed_residue(up // 2, r // 2)
         else:
-            steps, direction = down // 2, -1
-        for _ in range(steps):
-            emit("W", g - 1, direction)
-            flip_t_sign(g - 2)
-            emit("W", g - 1, direction)
+            m = _signed_residue(up * (r + 1) // 2, r)
+        if m:
+            emit("W", g - 1, m)
+            emit("V", g - 1, -1)  # (0, -m) -> (m, -m)
+            emit("U", g - 1, -2)  # (m, -m) -> (m, m)
+            emit("V", g - 1, -1)  # (m, m) -> (0, m)
+            emit("W", g - 1, m)
 
     if tuple(state) != form.canonical_coords():
         raise RuntimeError("witness replay did not reach the canonical representative")

@@ -162,3 +162,15 @@ def test_context_json_round_trip():
     assert RootContext.from_json(ctx.to_json()) == ctx
     data = ctx.to_json()
     assert data["r"] == 4 and data["pairs"] == [[3, 2]]
+
+
+def test_context_loader_refuses_non_integers():
+    ctx = solve_raymond_vasquez(OrbifoldSignature(2), 2)
+    with pytest.raises(ValueError):
+        RootContext.from_json({**ctx.to_json(), "r": 2.9})
+    ctx = solve_raymond_vasquez(OrbifoldSignature(1, (3,)), 2)
+    (k,) = ctx.twist_integers
+    with pytest.raises(ValueError):
+        RootContext.from_json({**ctx.to_json(), "k": [float(k)]})
+    with pytest.raises(ValueError):
+        RootContext(ctx.signature, 2.0, ctx.invariants, ctx.twist_integers, ctx.euler_number)

@@ -209,3 +209,47 @@ def test_twist_word_json_round_trip():
     assert word.to_json()[0] == {"family": "U", "index": 1, "power": -2}
     with pytest.raises(ValueError):
         TwistWord.from_json({"family": "U"})
+
+
+def _assert_short_replaying_witness(root):
+    form, witness = reduce_with_witness(root)
+    assert apply_word(root, witness) == form.canonical_root()
+    assert len(witness) <= 8 * root.genus * root.order.bit_length(), (root, len(witness))
+
+
+def test_witness_length_is_logarithmic_exhaustive_small():
+    # every root with r^{2g} <= 4096 (genus 0 up to r = 64)
+    for genus in range(7):
+        for r in range(1, 65):
+            if genus and r ** (2 * genus) > 4096:
+                break
+            for coords in product(range(r), repeat=2 * genus):
+                _assert_short_replaying_witness(RootTuple(r, coords))
+
+
+def test_witness_length_is_logarithmic_on_large_orders():
+    rng = random.Random(4)
+    for genus in range(1, 7):
+        for r in (101, 9999, 10000, 600001, 10**6 + 1):
+            for _ in range(50):
+                coords = tuple(rng.randrange(r) for _ in range(2 * genus))
+                _assert_short_replaying_witness(RootTuple(r, coords))
+
+
+def test_witness_length_on_long_stepping_roots():
+    # roots whose final block exponent m is near its largest possible value:
+    # about r/2 for odd r and r/4 for even r
+    _assert_short_replaying_witness(RootTuple(6001, (1,) * 6))
+    for r in (10**3, 10**5, 10**6 + 1):
+        _assert_short_replaying_witness(RootTuple(r, (0, 0, 0, r // 2)))
+
+
+def test_standard_form_refuses_non_integers():
+    with pytest.raises(ValueError):
+        StandardForm.from_json({"kind": "genus1", "d": 2.0}, 4, 1)
+    with pytest.raises(ValueError):
+        StandardForm("all_zero", 4.0, 2)
+    with pytest.raises(ValueError):
+        StandardForm("all_zero", 4, 2.0)
+    with pytest.raises(ValueError):
+        StandardForm("genus0", True, 0)
