@@ -129,8 +129,8 @@ def admissible_root_orders(sig: OrbifoldSignature) -> tuple[int, ...]:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of |n| in ascending order (n must be nonzero)."""
-    n = abs(int(n))
+    """Positive divisors of |n| in ascending order (n must be a nonzero integer)."""
+    n = abs(_as_int(n, "n"))
     if n == 0:
         raise ValueError("zero has no finite divisor list")
     small, large = [], []

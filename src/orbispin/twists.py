@@ -27,7 +27,9 @@ by every twist).  ``reduce_with_witness`` returns the canonical form of a
 tuple together with an explicit twist word whose replay lands exactly on
 the canonical representative.  The word has O(g log r) letters: a signed
 Euclidean algorithm on each handle, one w-power per merge, and a single
-block W^m . flip . W^m that moves the last t-entry by 2m at once.
+block W^m . flip . W^m that moves the last t-entry by 2m at once.  Adjacent
+powers of one twist are folded into one letter, so no two neighbouring
+letters twist along the same curve.
 """
 
 from __future__ import annotations
@@ -280,14 +282,18 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
     form = canonical_form(root)
     r, g = root.order, root.genus
     state = list(root.coords)
-    word: list[TwistGenerator] = []
+    word: list[tuple[str, int, int]] = []  # (family, index, power) letters
 
     def emit(family: str, index: int, power: int) -> None:
-        # the action of a power only depends on it mod r; keep words short
+        # the action of a power only depends on it mod r and powers of one
+        # twist add, so keep words short: fold each letter into an
+        # equal-twist predecessor and drop letters that vanish mod r
+        _apply_inplace(state, r, g, family, index, power)
+        if word and word[-1][:2] == (family, index):
+            power += word.pop()[2]
         power = _signed_residue(power, r)
         if power:
-            _apply_inplace(state, r, g, family, index, power)
-            word.append(TwistGenerator(family, index, power))
+            word.append((family, index, power))
 
     def reduce_handle(i: int) -> None:
         # signed Euclid until one slot of handle i (0-based) vanishes mod r;
@@ -343,4 +349,4 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
 
     if tuple(state) != form.canonical_coords():
         raise RuntimeError("witness replay did not reach the canonical representative")
-    return form, TwistWord(tuple(word))
+    return form, TwistWord(tuple(TwistGenerator(*letter) for letter in word))

@@ -1,43 +1,37 @@
-"""Cross-checks between closed forms and brute force, for the verify command.
+"""Cross-checks behind ``orbispin verify``, each job done once.
 
-Each check pits two independent routes inside the library against each
-other: the admissibility test against the relation solver, the recovered
-fibre index against the solved one, the closed-form orbit counts against
-breadth-first enumeration, and witness words against replay.  The checks
-return structured results so the command line can print a pass/fail table.
+``run_suite`` walks the signature grid once and solves each (signature,
+order) pair once; the existence and round-trip rows read those contexts.
+It runs one ``moduli_report`` per distinct (g, r) that a census row covers:
+the report's comparison of the closed forms with the brute-force partition
+is the only such check, and the three census rows read its outcome.  The
+parity and witness rows test the twist layer on data of their own.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 from .errors import InadmissibleOrder
 from .moduli import moduli_report
 from .orbifold import (
-    OrbifoldSignature,
-    admissible_root_orders,
-    chi_orb,
-    divisors,
-    is_hyperbolic,
+    OrbifoldSignature, _as_int, admissible_root_orders, chi_orb, is_hyperbolic,
     root_order_admissible,
 )
-from .orbits import (
-    genus_one_orbit_size,
-    orbit_count_closed_form,
-    partition_orbits,
-    standard_generators,
-)
+from .orbits import standard_generators
 from .roots import DEFAULT_STATE_CAP, RootTuple
-from .seifert import recognize_fibre_index, solve_raymond_vasquez
-from .twists import (
-    a_invariant,
-    apply_generator,
-    apply_word,
-    canonical_form,
-    reduce_with_witness,
-)
+from .seifert import RootContext, recognize_fibre_index, solve_raymond_vasquez
+from .twists import a_invariant, apply_generator, apply_word, canonical_form, reduce_with_witness
+
+# the census covers only (g, r) with r^{2g} at most this and the state cap
+CENSUS_STATES = 1 << 16
+SMALL_CENSUS = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4))
+
+Solved = dict[tuple[OrbifoldSignature, int], RootContext | None]
 
 
 @dataclass(frozen=True)
@@ -54,67 +48,65 @@ class GridBounds:
     max_multiplicity: int = 6
     max_order: int = 24
 
+    def __post_init__(self) -> None:
+        minimums = {"max_genus": 0, "max_cones": 0, "max_multiplicity": 2, "max_order": 1}
+        for name, minimum in minimums.items():
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
+
 
 def hyperbolic_signatures(bounds: GridBounds) -> list[OrbifoldSignature]:
     sigs = []
     for g in range(bounds.max_genus + 1):
         for n in range(bounds.max_cones + 1):
-            for alphas in combinations_with_replacement(
-                range(2, bounds.max_multiplicity + 1), n
-            ):
+            for alphas in combinations_with_replacement(range(2, bounds.max_multiplicity + 1), n):
                 sig = OrbifoldSignature(g, alphas)
                 if is_hyperbolic(sig):
                     sigs.append(sig)
     return sigs
 
 
-def _census_context(genus: int, r: int, bounds: GridBounds):
-    """Some hyperbolic signature of the given genus admitting order r."""
-    for n in range(bounds.max_cones + 1):
-        for alphas in combinations_with_replacement(range(2, bounds.max_multiplicity + 1), n):
-            sig = OrbifoldSignature(genus, alphas)
-            if is_hyperbolic(sig) and root_order_admissible(sig, r):
-                return solve_raymond_vasquez(sig, r)
-    return None
+def _solve_grid(bounds: GridBounds, cap: int) -> Solved:
+    """Each grid signature at every order up to max_order (None where the
+    solver refuses it), then at the admissible orders beyond it that the
+    census covers; every pair is solved once."""
+    solved: Solved = {}
+    for sig in hyperbolic_signatures(bounds):
+        orders = admissible_root_orders(sig)
+        beyond = [r for r in orders if r > bounds.max_order and r ** (2 * sig.genus) <= cap]
+        for r in [*range(1, bounds.max_order + 1), *beyond]:
+            try:
+                solved[sig, r] = solve_raymond_vasquez(sig, r)
+            except InadmissibleOrder:
+                solved[sig, r] = None
+    return solved
 
 
-def check_existence(bounds: GridBounds) -> CheckResult:
+def check_existence(solved: Solved, bounds: GridBounds) -> CheckResult:
     """Admissibility test vs relation solver, plus the exact identity r*e = chi."""
     pairs = 0
-    for sig in hyperbolic_signatures(bounds):
-        for r in range(1, bounds.max_order + 1):
-            pairs += 1
-            admissible = root_order_admissible(sig, r)
-            try:
-                ctx = solve_raymond_vasquez(sig, r)
-            except InadmissibleOrder:
-                ctx = None
-            if admissible != (ctx is not None):
-                return CheckResult(
-                    "existence", False, f"solver disagrees at {sig.to_json()}, r={r}"
-                )
-            if ctx is not None and r * ctx.euler_number != chi_orb(sig):
-                return CheckResult(
-                    "existence", False, f"identity r*e = chi fails at {sig.to_json()}, r={r}"
-                )
+    for (sig, r), ctx in solved.items():
+        if r > bounds.max_order:
+            continue
+        pairs += 1
+        if root_order_admissible(sig, r) != (ctx is not None):
+            return CheckResult("existence", False, f"solver disagrees at {sig.to_json()}, r={r}")
+        if ctx is not None and r * ctx.euler_number != chi_orb(sig):
+            return CheckResult(
+                "existence", False, f"identity r*e = chi fails at {sig.to_json()}, r={r}"
+            )
     return CheckResult("existence", True, f"{pairs} (signature, order) pairs")
 
 
-def check_round_trip(bounds: GridBounds) -> CheckResult:
+def check_round_trip(solved: Solved, bounds: GridBounds) -> CheckResult:
     """recognize_fibre_index inverts solve_raymond_vasquez on the grid."""
-    solved = 0
-    for sig in hyperbolic_signatures(bounds):
-        for r in admissible_root_orders(sig):
-            if r > bounds.max_order:
-                continue
-            ctx = solve_raymond_vasquez(sig, r)
-            back = recognize_fibre_index(ctx.invariants)
-            if back != ctx:
-                return CheckResult(
-                    "round-trip", False, f"recovery differs at {sig.to_json()}, r={r}"
-                )
-            solved += 1
-    return CheckResult("round-trip", True, f"{solved} solved contexts")
+    count = 0
+    for (sig, r), ctx in solved.items():
+        if ctx is None or r > bounds.max_order:
+            continue
+        if recognize_fibre_index(ctx.invariants) != ctx:
+            return CheckResult("round-trip", False, f"recovery differs at {sig.to_json()}, r={r}")
+        count += 1
+    return CheckResult("round-trip", True, f"{count} solved contexts")
 
 
 def check_a_invariance() -> CheckResult:
@@ -136,46 +128,39 @@ def check_a_invariance() -> CheckResult:
     return CheckResult("a-invariance", True, f"{checked} generator applications")
 
 
-def check_census(bounds: GridBounds, state_cap: int) -> CheckResult:
-    """Closed-form orbit counts vs brute-force partitions, genus >= 2."""
-    cases = []
-    for genus, r in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4)]:
-        if r > bounds.max_order or genus > max(bounds.max_genus, 2) or r ** (2 * genus) > state_cap:
-            continue
-        ctx = _census_context(genus, r, GridBounds(max_cones=2, max_multiplicity=9))
-        if ctx is None:
-            continue
-        partition = partition_orbits(ctx, cap=state_cap)
-        expected = orbit_count_closed_form(genus, r)
-        sizes = sorted(partition.sizes())
-        want = sorted(expected) if isinstance(expected, tuple) else [expected]
-        if sizes != want:
-            return CheckResult(
-                "orbit-census", False, f"(g={genus}, r={r}) gave {sizes}, expected {want}"
-            )
-        cases.append((genus, r))
-    return CheckResult("orbit-census", True, f"checked {cases}")
+def _covering(genus: int, r: int) -> RootContext:
+    """An order-r covering over a genus >= 1 base: with cones prime to r, r
+    divides alpha_1*...*alpha_n*chi iff sum(1/alpha_j - 1) = 2g - 2 mod r; a
+    cone r + 1 adds 0 (and keeps genus 1 hyperbolic), each cone r - 1 adds -2."""
+    k = (1 - genus) % (r // gcd(2, r))
+    return solve_raymond_vasquez(OrbifoldSignature(genus, (r + 1,) + (r - 1,) * k), r)
 
 
-def check_genus_one(bounds: GridBounds) -> CheckResult:
-    """Genus-1 orbits match divisors of r with ideal-counting sizes."""
-    top = min(bounds.max_order, 24)
-    for r in range(1, top + 1):
-        # one cone of multiplicity r+1 always admits order r
-        ctx = solve_raymond_vasquez(OrbifoldSignature(1, (r + 1,)), r)
-        partition = partition_orbits(ctx)
-        divs = divisors(r)
-        labels = sorted(rec.label.d for rec in partition.orbits)
-        if labels != list(divs):
-            return CheckResult("genus-1-census", False, f"r={r}: labels {labels}")
-        for rec in partition.orbits:
-            if rec.size != genus_one_orbit_size(r, rec.label.d):
-                return CheckResult(
-                    "genus-1-census", False, f"r={r}, d={rec.label.d}: size {rec.size}"
-                )
-        if sum(partition.sizes()) != r * r:
-            return CheckResult("genus-1-census", False, f"r={r}: sizes do not sum to r^2")
-    return CheckResult("genus-1-census", True, f"orders 1..{top}")
+def check_censuses(solved: Solved, bounds: GridBounds, cap: int) -> Iterator[CheckResult]:
+    """The orbit-census (SMALL_CENSUS, genus 3 only if max_genus allows),
+    genus-1-census (r <= 24) and moduli-census (the grid) rows, from one
+    self-checked moduli report per distinct (g, r) they cover."""
+    grid = [c for c in solved.values() if c is not None and c.order ** (2 * c.genus) <= cap]
+    small = [
+        (g, r) for g, r in SMALL_CENSUS
+        if r <= bounds.max_order and g <= max(bounds.max_genus, 2) and r ** (2 * g) <= cap
+    ]
+    genus_one = [(1, r) for r in range(1, min(bounds.max_order, 24) + 1) if r * r <= cap]
+    rows = [
+        ("orbit-census", small, f"checked {small}"),
+        ("genus-1-census", genus_one, f"orders 1..{len(genus_one)}"),
+        ("moduli-census", [(ctx.genus, ctx.order) for ctx in grid], f"{len(grid)} reports"),
+    ]
+    contexts = {(ctx.genus, ctx.order): ctx for ctx in reversed(grid)}  # the first of each
+    failures = {}
+    for g, r in dict.fromkeys(key for _, keys, _ in rows for key in keys):
+        try:  # the report checks its sheet total (ValueError) and partition (RuntimeError)
+            moduli_report(contexts.get((g, r)) or _covering(g, r), state_cap=cap)
+        except (RuntimeError, ValueError) as err:
+            failures[g, r] = f"(g={g}, r={r}): {err}"
+    for name, keys, detail in rows:
+        failed = [failures[key] for key in keys if key in failures]
+        yield CheckResult(name, not failed, failed[0] if failed else detail)
 
 
 def check_witnesses(bounds: GridBounds, seed: int, samples: int = 200) -> CheckResult:
@@ -202,34 +187,14 @@ def check_witnesses(bounds: GridBounds, seed: int, samples: int = 200) -> CheckR
     return CheckResult("witness-replay", True, f"{checked} random roots")
 
 
-def check_moduli(bounds: GridBounds, census_cap: int) -> CheckResult:
-    """Census reports agree with brute-force partitions across the grid."""
-    reports = 0
-    for sig in hyperbolic_signatures(bounds):
-        for r in admissible_root_orders(sig):
-            if r ** (2 * sig.genus) > census_cap:
-                continue
-            try:  # the report compares itself with the partition below the cap
-                moduli_report(solve_raymond_vasquez(sig, r), state_cap=census_cap)
-            except RuntimeError:
-                return CheckResult("moduli-census", False, f"mismatch at {sig.to_json()}, r={r}")
-            reports += 1
-    return CheckResult("moduli-census", True, f"{reports} reports")
-
-
 def run_suite(
-    bounds: GridBounds | None = None,
-    seed: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
-    census_cap: int = 1 << 16,
+    bounds: GridBounds | None = None, seed: int = 0, state_cap: int = DEFAULT_STATE_CAP
 ) -> list[CheckResult]:
     bounds = bounds or GridBounds()
+    cap = min(state_cap, CENSUS_STATES)
+    solved = _solve_grid(bounds, cap)
+    orbit_census, genus_one, moduli = check_censuses(solved, bounds, cap)
     return [
-        check_existence(bounds),
-        check_round_trip(bounds),
-        check_a_invariance(),
-        check_census(bounds, state_cap),
-        check_genus_one(bounds),
-        check_witnesses(bounds, seed),
-        check_moduli(bounds, min(census_cap, state_cap)),
+        check_existence(solved, bounds), check_round_trip(solved, bounds), check_a_invariance(),
+        orbit_census, genus_one, check_witnesses(bounds, seed), moduli,
     ]

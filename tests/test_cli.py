@@ -197,6 +197,15 @@ def test_verify_small_grid(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_only_verify_takes_a_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chi", SIG_G2, "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r=4", "--seed", "5")
+    assert code == 0 and out.count("PASS") == 7
+
+
 def test_signature_from_file(tmp_path, capsys):
     path = tmp_path / "sig.json"
     path.write_text(SIG_237, encoding="utf-8")

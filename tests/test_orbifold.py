@@ -141,6 +141,12 @@ def test_divisors():
         divisors(0)
 
 
+def test_divisors_refuse_non_integers():
+    for bad in (12.9, 12.0, True, None, "12"):
+        with pytest.raises(ValueError):
+            divisors(bad)
+
+
 def test_is_hyperbolic_matches_sign():
     assert is_hyperbolic(OrbifoldSignature(0, (2, 3, 7)))
     assert not is_hyperbolic(OrbifoldSignature(0, (2, 4, 4)))

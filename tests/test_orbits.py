@@ -229,3 +229,18 @@ def test_partition_ignores_cone_data():
     closed = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2), 2))
     coned = partition_orbits(solve_raymond_vasquez(OrbifoldSignature(2, (3,)), 2))
     assert coned == closed
+
+
+def test_even_order_closed_form_counts_theta_characteristics():
+    # for even r the parity sum((s_i + 1)(t_i + 1)) mod 2 reads only the
+    # residues mod 2, so each class holds (r/2)^{2g} lifts of its members in
+    # Z_2^{2g}; those are the even and odd theta characteristics, counted
+    # classically as 2^{g-1}(2^g + 1) and 2^{g-1}(2^g - 1)
+    for genus in range(2, 9):
+        by_parity = [0, 0]
+        for x in product((0, 1), repeat=2 * genus):
+            by_parity[sum((x[2 * i] + 1) * (x[2 * i + 1] + 1) for i in range(genus)) % 2] += 1
+        assert by_parity == [2 ** (genus - 1) * (2**genus + 1), 2 ** (genus - 1) * (2**genus - 1)]
+        for r in (2, 4, 6):
+            lifts = (r // 2) ** (2 * genus)
+            assert orbit_count_closed_form(genus, r) == (lifts * by_parity[0], lifts * by_parity[1])

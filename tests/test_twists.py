@@ -244,6 +244,24 @@ def test_witness_length_on_long_stepping_roots():
         _assert_short_replaying_witness(RootTuple(r, (0, 0, 0, r // 2)))
 
 
+def test_witness_letters_never_repeat_a_twist():
+    # adjacent powers of one twist are folded into one letter (or dropped
+    # when they cancel), over every root with r^{2g} <= 4096
+    for genus in range(7):
+        for r in range(1, 65):
+            if genus and r ** (2 * genus) > 4096:
+                break
+            for coords in product(range(r), repeat=2 * genus):
+                _, witness = reduce_with_witness(RootTuple(r, coords))
+                keys = [(gen.family, gen.index) for gen in witness.word]
+                assert all(a != b for a, b in zip(keys, keys[1:])), (r, coords, keys)
+    # U U^-1 pairs cancel and W^2 W^2999 becomes one letter: 16 letters -> 9
+    root = RootTuple(6001, (1,) * 6)
+    form, witness = reduce_with_witness(root)
+    assert len(witness) == 9
+    assert apply_word(root, witness) == form.canonical_root()
+
+
 def test_standard_form_refuses_non_integers():
     with pytest.raises(ValueError):
         StandardForm.from_json({"kind": "genus1", "d": 2.0}, 4, 1)

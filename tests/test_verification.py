@@ -1,0 +1,117 @@
+import sys
+from collections import Counter
+
+import pytest
+
+import orbispin.moduli
+from orbispin.cli import main
+from orbispin.verification import GridBounds, run_suite
+
+ROWS = (
+    "existence", "round-trip", "a-invariance", "orbit-census",
+    "genus-1-census", "witness-replay", "moduli-census",
+)
+
+# the (g, r) the census rows must keep covering on the default grid: genus 2
+# at small r, genus 1 up to r = 24, and the grid contexts with r^{2g} <= 2^16
+# (genus-1 signatures with two cones reach r = 31 and 49)
+DEFAULT_COVERAGE = (
+    {(1, r) for r in [*range(1, 25), 31, 49]}
+    | {(2, r) for r in [*range(1, 12), 13, 14]}
+)
+
+
+def _partitions_per_gr(monkeypatch):
+    calls = Counter()
+    real = orbispin.moduli.partition_orbits
+
+    def counting(ctx, *args, **kwargs):
+        calls[ctx.genus, ctx.order] += 1
+        return real(ctx, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbispin") and getattr(module, "partition_orbits", None) is real:
+            monkeypatch.setattr(module, "partition_orbits", counting)
+    return calls
+
+
+def test_default_grid_partitions_each_gr_once(monkeypatch):
+    calls = _partitions_per_gr(monkeypatch)
+    results = run_suite(GridBounds())
+    assert [res.name for res in results] == list(ROWS)
+    assert all(res.passed for res in results), results
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == 39
+    assert set(calls) >= DEFAULT_COVERAGE
+
+
+def test_census_rows_honour_the_cap(monkeypatch):
+    calls = _partitions_per_gr(monkeypatch)
+    results = {res.name: res for res in run_suite(GridBounds(max_genus=1), state_cap=100)}
+    assert calls and all(r ** (2 * g) <= 100 for g, r in calls)
+    assert results["genus-1-census"].detail == "orders 1..10"
+    assert results["orbit-census"].detail == "checked [(2, 2), (2, 3)]"
+
+
+def _verify_rows(capsys, grid):
+    code = main(["verify", grid])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1].rstrip(":") for line in lines] == list(ROWS)
+    return code, {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
+
+
+def _swap_parities(real):
+    def broken(genus, r):
+        counts = real(genus, r)
+        return counts[::-1] if isinstance(counts, tuple) else counts
+    return broken
+
+
+def _one_extra_sheet(real):
+    return lambda r, d: real(r, d) + (d == r)
+
+
+@pytest.mark.parametrize(
+    "name,breaker,failing",
+    [
+        # the sheet total stays r^{2g}; the partition tells the classes apart
+        ("orbit_count_closed_form", _swap_parities, {"orbit-census", "moduli-census"}),
+        # the sheet total moves off r^2, which the report itself refuses
+        ("genus_one_orbit_size", _one_extra_sheet, {"genus-1-census", "moduli-census"}),
+    ],
+)
+def test_a_broken_closed_form_fails_the_rows_that_cover_it(
+    monkeypatch, capsys, name, breaker, failing
+):
+    # grid contexts of genus 1 and of genus 2 at r = 2 reach the moduli row
+    grid = "g=2,n=1,alpha=3,r=4"
+    assert _verify_rows(capsys, grid) == (0, set())
+    monkeypatch.setattr(orbispin.moduli, name, breaker(getattr(orbispin.moduli, name)))
+    assert _verify_rows(capsys, grid) == (1, failing)
+
+
+def test_failed_census_names_its_gr(monkeypatch):
+    monkeypatch.setattr(orbispin.moduli, "genus_one_orbit_size", lambda r, d: 1)
+    results = {res.name: res for res in run_suite(GridBounds(max_genus=1, max_order=3))}
+    assert results["genus-1-census"].detail.startswith("(g=1, r=2): sheet counts sum to 2")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("max_genus", -1), ("max_cones", -3), ("max_multiplicity", 1), ("max_order", 0),
+     ("max_order", 2.0), ("max_genus", True), ("max_cones", None)],
+)
+def test_grid_bounds_refuse_vacuous_or_coerced_values(field, value):
+    with pytest.raises(ValueError):
+        GridBounds(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "grid", ["g=-1,n=0,alpha=6,r=24", "g=2,n=2,alpha=6,r=0", "g=2,n=-3,alpha=6,r=24",
+             "g=2,n=2,alpha=1,r=24"],
+)
+def test_verify_rejects_a_bad_grid(capsys, grid):
+    assert main(["verify", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("UsageError:")
