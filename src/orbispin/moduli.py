@@ -14,8 +14,8 @@ census is purely combinatorial:
     genus >= 2, r even: two components with r^{2g} (2^g +- 1) / 2^{g+1}
                         sheets.
 
-Whenever the state space fits under the cap, the report is verified against
-the brute-force orbit partition and construction fails loudly on mismatch.
+For genus >= 1, whenever the state space fits under the cap, the report is
+verified against the brute-force orbit partition; a mismatch fails loudly.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ModuliReport:
 def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -> ModuliReport:
     """Assemble the component/sheet census for a covering datum.
 
-    When r^{2g} does not exceed ``state_cap`` the census is cross-checked
+    When g >= 1 and r^{2g} does not exceed ``state_cap`` the census is checked
     against the brute-force orbit partition; a mismatch raises RuntimeError.
     """
     r, g = ctx.order, ctx.genus
@@ -115,7 +115,7 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
             (StandardForm(KIND_LAST_ONE, r, g), last_one),
         ]
     report = ModuliReport(ctx, tuple(components))
-    if state_cap is not None and total <= state_cap:
+    if g and state_cap is not None and total <= state_cap:  # genus 0: one state, no search
         partition = partition_orbits(ctx, cap=state_cap)
         expected = {label: n for label, n in report.components}
         observed = {rec.label: rec.size for rec in partition.orbits}

@@ -17,7 +17,8 @@ images and the label check are built from those digits.
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
-(g, r) and generators, never on which calls came before it.
+(g, r) and generators, never on which calls came before it.  Only the
+search functions import numpy; the closed forms below never load it.
 
 The closed-form counts implemented alongside: for genus >= 2 and even r the
 action has exactly two orbits, of sizes r^{2g} (2^g + 1) / 2^{g+1} and
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import CountOverflow
 from .orbifold import divisors
@@ -154,6 +153,7 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[Twis
     distinct; those not yet visited are new and need no further dedupe.
     A power divisible by r acts trivially and is dropped.
     """
+    import numpy as np
     moves = dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r)
     w = _weights(r, genus)
     visited[seed] = True
@@ -196,11 +196,13 @@ def orbit_of(
     generators: Iterable[TwistGenerator] | None = None,
 ) -> set[RootTuple]:
     """Closure of one root under the twist generators and their inverses."""
+    import numpy as np
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
     gens = _validated(generators, g)
     levels = _levels(_encode(root.coords, r), np.zeros(total, dtype=bool), r, g, gens)
-    return {RootTuple(r, _decode(int(ix), r, g)) for states, _ in levels for ix in states}
+    chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
+    return {RootTuple._trusted(r, tuple(row)) for rows in chunks for row in rows}
 
 
 def partition_orbits(
@@ -214,6 +216,7 @@ def partition_orbits(
     lexicographically least member), and the whole orbit is checked to share
     that form; a mixed orbit would raise RuntimeError.
     """
+    import numpy as np
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
     gens = _validated(generators, genus)
@@ -239,6 +242,7 @@ def partition_orbits(
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:
     """The twist invariant that tells the labels apart, computed from decoded
     digits; None when (g, r) has a single label."""
+    import numpy as np
     if genus == 0 or (genus >= 2 and r % 2 == 1):
         return None
     if genus == 1:

@@ -36,6 +36,14 @@ class RootTuple:
             raise ValueError("a root tuple has an even number of coordinates")
         object.__setattr__(self, "coords", tuple(_as_int(c, "coordinate") % r for c in self.coords))
 
+    @classmethod
+    def _trusted(cls, r: int, coords: tuple[int, ...]) -> "RootTuple":
+        """A root from a validated order and a tuple of ints already in [0, r), unchecked."""
+        root = object.__new__(cls)
+        object.__setattr__(root, "order", r)
+        object.__setattr__(root, "coords", coords)
+        return root
+
     @property
     def genus(self) -> int:
         return len(self.coords) // 2
@@ -60,7 +68,7 @@ def enumerate_roots(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> It
     total = r ** (2 * g)
     if cap is not None and total > cap:
         raise CountOverflow(f"{total} roots exceed the state cap {cap}")
-    return (RootTuple(r, combo) for combo in product(range(r), repeat=2 * g))
+    return (RootTuple._trusted(r, combo) for combo in product(range(r), repeat=2 * g))
 
 
 def determined_values(ctx: RootContext) -> tuple[int, tuple[int, ...]]:

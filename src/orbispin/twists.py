@@ -137,11 +137,13 @@ def apply_generator(root: RootTuple, gen: TwistGenerator) -> RootTuple:
 def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> RootTuple:
     """Apply the letters of a word left to right; the empty word is the identity."""
     generators = word.word if isinstance(word, TwistWord) else tuple(word)
+    if not all(isinstance(gen, TwistGenerator) for gen in generators):
+        raise ValueError("twist word letters must be TwistGenerator instances")
     coords = list(root.coords)
     r, genus = root.order, root.genus
     for gen in generators:
         _apply_inplace(coords, r, genus, gen.family, gen.index, gen.power)
-    return RootTuple(r, tuple(coords))
+    return RootTuple._trusted(r, tuple(coords))
 
 
 def w_value(root: RootTuple, i: int) -> int:

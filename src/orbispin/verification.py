@@ -19,8 +19,7 @@ from math import gcd
 from .errors import InadmissibleOrder
 from .moduli import moduli_report
 from .orbifold import (
-    OrbifoldSignature, _as_int, admissible_root_orders, chi_orb, is_hyperbolic,
-    root_order_admissible,
+    OrbifoldSignature, _as_int, admissible_root_orders, is_hyperbolic, root_order_admissible,
 )
 from .orbits import standard_generators
 from .roots import DEFAULT_STATE_CAP, RootTuple
@@ -82,18 +81,20 @@ def _solve_grid(bounds: GridBounds, cap: int) -> Solved:
 
 
 def check_existence(solved: Solved, bounds: GridBounds) -> CheckResult:
-    """Admissibility test vs relation solver, plus the exact identity r*e = chi."""
+    """Admissibility test and relation solver vs a direct search for beta_j in
+    [1, alpha_j - 1] with r*beta_j = alpha_j - 1 + k_j*alpha_j and r*b = 2g - 2 - sum(k_j)."""
     pairs = 0
     for (sig, r), ctx in solved.items():
         if r > bounds.max_order:
             continue
         pairs += 1
-        if root_order_admissible(sig, r) != (ctx is not None):
+        ks = [
+            [(r * beta - a + 1) // a for beta in range(1, a) if (r * beta - a + 1) % a == 0]
+            for a in sig.cone_multiplicities
+        ]
+        solvable = any((2 * sig.genus - 2 - sum(k)) % r == 0 for k in product(*ks))
+        if root_order_admissible(sig, r) != solvable or (ctx is not None) != solvable:
             return CheckResult("existence", False, f"solver disagrees at {sig.to_json()}, r={r}")
-        if ctx is not None and r * ctx.euler_number != chi_orb(sig):
-            return CheckResult(
-                "existence", False, f"identity r*e = chi fails at {sig.to_json()}, r={r}"
-            )
     return CheckResult("existence", True, f"{pairs} (signature, order) pairs")
 
 

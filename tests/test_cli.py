@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbispin
 from orbispin import RootContext, RootTuple, TwistWord
 from orbispin.cli import main
 
@@ -237,3 +242,35 @@ def test_json_outputs_round_trip_through_their_schemas(capsys):
     _, out, _ = run(capsys, "moduli", SIG_G2, "2", "--json")
     data = json.loads(out)
     assert RootContext.from_json(data["context"]).order == 2
+
+
+# every call here is answered by closed forms; the last one searches
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import orbispin, orbispin.cli
+calls = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [orbispin.cli.main(argv) for argv in calls[:-1]]
+    loaded = "numpy" in sys.modules
+    codes.append(orbispin.cli.main(calls[-1]))
+print(json.dumps([codes, loaded, "numpy" in sys.modules]))
+"""
+
+
+def test_only_a_search_loads_numpy():
+    # a fresh interpreter: other tests import numpy into this process
+    word = '[{"family":"V","index":1,"power":1}]'
+    calls = [
+        ["chi", SIG_237], ["roots", SIG_G2], ["solve", SIG_G1C3, "2", "--json"],
+        ["recognize", '{"genus":2,"b":1,"pairs":[[3,1]]}'], ["enumerate", SIG_G1C3, "2"],
+        ["twist", SIG_G1C3, "2", "0,1", word], ["reduce", SIG_G2, "2", "1,1,0,1"],
+        ["present", SIG_G1C3, "2", "0,0"], ["moduli", SIG_237, "1"],
+        ["moduli", SIG_G2, "2", "--cap", "15"], ["orbits", SIG_G2, "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(orbispin.__file__).parents[1]))
+    env.pop("ORBISPIN_STATE_CAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [[0] * len(calls), False, True]

@@ -38,6 +38,8 @@ def test_orbit_of_examples():
 
     zero_orbit = orbit_of(RootTuple(2, (0, 0, 0, 0)))
     assert len(zero_orbit) == 10
+    assert all(type(c) is int for root in zero_orbit for c in root.coords)
+    assert orbit_of(RootTuple(3, ())) == {RootTuple(3, ())}
 
 
 def test_partition_genus_two_order_two():

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -271,3 +272,22 @@ def test_standard_form_refuses_non_integers():
         StandardForm("all_zero", 4, 2.0)
     with pytest.raises(ValueError):
         StandardForm("genus0", True, 0)
+
+
+def test_library_made_roots_equal_validated_ones():
+    rng = random.Random(7)
+    for _ in range(300):
+        g, r = rng.randint(0, 4), rng.choice((1, 2, 3, 6, 101, 10000))
+        root = RootTuple(r, tuple(rng.randrange(-2 * r, 2 * r) for _ in range(2 * g)))
+        letters = rng.choices(_all_unit_generators(g), k=rng.randint(1, 8) if g else 0)
+        word = [TwistGenerator(x.family, x.index, x.power * rng.randint(1, 2 * r)) for x in letters]
+        moved = apply_word(root, word)
+        validated = RootTuple(r, moved.coords)
+        assert moved == validated and hash(moved) == hash(validated)
+        assert type(moved.coords) is tuple
+        assert all(type(c) is int and 0 <= c < r for c in moved.coords)
+    with pytest.raises(ValueError):
+        RootTuple(2, (2.0, 1))
+    # the trusted result needs integer powers, which only a TwistGenerator guarantees
+    with pytest.raises(ValueError):
+        apply_word(RootTuple(4, (1, 1)), [SimpleNamespace(family="U", index=1, power=0.5)])

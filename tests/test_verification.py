@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 import orbispin.moduli
+import orbispin.verification
+from orbispin import OrbifoldSignature
 from orbispin.cli import main
 from orbispin.verification import GridBounds, run_suite
 
@@ -88,6 +90,22 @@ def test_a_broken_closed_form_fails_the_rows_that_cover_it(
     assert _verify_rows(capsys, grid) == (0, set())
     monkeypatch.setattr(orbispin.moduli, name, breaker(getattr(orbispin.moduli, name)))
     assert _verify_rows(capsys, grid) == (1, failing)
+
+
+# the row compares both with a direct search of the relations, so it fails
+# even when the solver shares the wrong test
+@pytest.mark.parametrize("modules", [("verification",), ("verification", "seifert")])
+def test_a_wrong_admissibility_test_fails_the_existence_row(monkeypatch, capsys, modules):
+    grid = "g=1,n=1,alpha=3,r=4"
+    assert _verify_rows(capsys, grid) == (0, set())
+    real = orbispin.verification.root_order_admissible
+    flipped = (OrbifoldSignature(1, (3,)), 1)
+    for name in modules:
+        monkeypatch.setattr(
+            sys.modules[f"orbispin.{name}"], "root_order_admissible",
+            lambda sig, r: real(sig, r) != ((sig, r) == flipped),
+        )
+    assert _verify_rows(capsys, grid) == (1, {"existence"})
 
 
 def test_failed_census_names_its_gr(monkeypatch):
