@@ -13,7 +13,7 @@ distinct, and once marked, later generators find any repeats.  Each
 generator has finite order, so its inverse is a positive power of it and the
 closure under the generators alone is the whole orbit.  A frontier is
 decoded into its 2g digit arrays once, in bounded chunks; the generator
-images and the label check are built from those digits.
+images (by ``twists._twist``) and the label check are built from them.
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -31,16 +31,19 @@ them, J_2 being the Jordan totient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import CountOverflow
 from .orbifold import divisors
-from .roots import DEFAULT_STATE_CAP, RootTuple
+from .roots import DEFAULT_STATE_CAP, RootTuple, _check_state_count
 from .seifert import RootContext
 from .twists import (
     KIND_ALL_ZERO,
     StandardForm,
     TwistGenerator,
+    _check_index,
+    _parity,
+    _twist,
     canonical_form,
 )
 
@@ -103,9 +106,7 @@ def _weights(r: int, genus: int) -> list[int]:
 def _validated(generators: Iterable[TwistGenerator] | None, genus: int) -> tuple[TwistGenerator, ...]:
     gens = standard_generators(genus) if generators is None else tuple(generators)
     for gen in gens:
-        limit = genus if gen.family in ("U", "V") else genus - 1
-        if not 1 <= gen.index <= limit:
-            raise ValueError(f"{gen.family}-twist index {gen.index} out of range for genus {genus}")
+        _check_index(gen.family, gen.index, genus)
     return gens
 
 
@@ -115,34 +116,14 @@ def _mod(x: np.ndarray, r: int) -> np.ndarray:
     return x - (x // r) * r
 
 
-def _digits(states: np.ndarray, r: int, count: int) -> list[np.ndarray]:
-    """The ``count`` base-r digits of packed states, most significant first."""
+def _digits(states: np.ndarray | int, r: int, count: int) -> list:
+    """The ``count`` base-r digits of packed states or of one int, most significant first."""
     digits = []
     for _ in range(count):
         quotient = states // r
         digits.append(states - quotient * r)
         states = quotient
     return digits[::-1]
-
-
-def _delta(digits: list[np.ndarray], r: int, w: list[int], move: tuple[str, int, int]) -> np.ndarray:
-    """Index change of each state under one twist power m in [1, r - 1].
-
-    The subtracted terms are written with r - m and with the separating-curve
-    value omega = s_i - s_{i+1} + 1 shifted by r, so every operand of
-    ``_mod`` is non-negative.
-    """
-    family, i, m = move
-    s, t = digits[2 * i], digits[2 * i + 1]
-    if family == "U":  # t_i <- t_i - m s_i
-        return (_mod(t + (r - m) * s, r) - t) * w[2 * i + 1]
-    if family == "V":  # s_i <- s_i + m t_i
-        return (_mod(s + m * t, r) - s) * w[2 * i]
-    # t_i <- t_i - m omega,  t_{i+1} <- t_{i+1} + m omega
-    omega = s - digits[2 * i + 2] + (r + 1)
-    t2 = digits[2 * i + 3]
-    t2_new = _mod(t2 + m * omega, r)
-    return (_mod(t + (r - m) * omega, r) - t) * w[2 * i + 1] + (t2_new - t2) * w[2 * i + 3]
 
 
 def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[TwistGenerator, ...]):
@@ -165,15 +146,13 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[Twis
             digits = _digits(states, r, 2 * genus)
             yield states, digits
             for move in moves:
-                image = states + _delta(digits, r, w, move)
+                image = states
+                for slot, value in _twist(digits, r, *move):
+                    image = image + (_mod(value, r) - digits[slot]) * w[slot]
                 fresh = image[~visited[image]]
                 visited[fresh] = True
                 level.append(fresh)
         frontier = np.concatenate(level)
-
-
-def _decode(index: int, r: int, genus: int) -> tuple[int, ...]:
-    return tuple((index // w) % r for w in _weights(r, genus))
 
 
 def _encode(coords: Sequence[int], r: int) -> int:
@@ -181,13 +160,6 @@ def _encode(coords: Sequence[int], r: int) -> int:
     for c in coords:
         index = index * r + (c % r)
     return index
-
-
-def _check_state_count(r: int, genus: int, cap: int | None) -> int:
-    total = r ** (2 * genus)
-    if cap is not None and total > cap:
-        raise CountOverflow(f"state space of size {total} exceeds the cap {cap}")
-    return total
 
 
 def orbit_of(
@@ -225,7 +197,7 @@ def partition_orbits(
     records: list[OrbitRecord] = []
     seed = 0
     while not visited[seed]:
-        rep = RootTuple(r, _decode(seed, r, genus))
+        rep = RootTuple(r, _digits(seed, r, 2 * genus))
         label = canonical_form(rep)
         # the Arf-type parity is g mod 2 exactly on the all-zero class
         expected = label.d if genus == 1 else (genus + (label.kind != KIND_ALL_ZERO)) % 2
@@ -252,7 +224,7 @@ def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] |
         position = np.searchsorted(divs, np.gcd(np.arange(r), r))
         meet = np.gcd.outer(divs, divs)
         return lambda digits: meet[position[digits[0]], position[digits[1]]]
-    return lambda digits: sum((digits[2 * i] + 1) * (digits[2 * i + 1] + 1) for i in range(genus)) & 1
+    return partial(_parity, genus=genus)
 
 
 def orbit_count_closed_form(genus: int, r: int) -> int | tuple[int, int]:

@@ -58,6 +58,14 @@ class RootTuple:
         return cls(data["r"], tuple(data["coords"]))
 
 
+def _check_state_count(r: int, genus: int, cap: int | None) -> int:
+    """The number r^{2g} of root tuples; CountOverflow when it exceeds ``cap``."""
+    total = r ** (2 * genus)
+    if cap is not None and total > cap:
+        raise CountOverflow(f"{total} roots exceed the state cap {cap}")
+    return total
+
+
 def enumerate_roots(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> Iterator[RootTuple]:
     """Yield all r^{2g} root tuples once each, in lexicographic order.
 
@@ -65,9 +73,7 @@ def enumerate_roots(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> It
     exceed ``cap`` states; pass ``cap=None`` to stream without the guard.
     """
     r, g = ctx.order, ctx.genus
-    total = r ** (2 * g)
-    if cap is not None and total > cap:
-        raise CountOverflow(f"{total} roots exceed the state cap {cap}")
+    _check_state_count(r, g, cap)
     return (RootTuple._trusted(r, combo) for combo in product(range(r), repeat=2 * g))
 
 

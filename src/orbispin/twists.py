@@ -11,7 +11,8 @@ basic right-handed twists act by
 where w_{i,i+1} is the curve separating handles i and i+1, on which a root
 takes the value omega = s_i - s_{i+1} + 1.  Left-handed twists invert the
 signs.  A power m iterates the unit twist m times; since each formula fixes
-the entries it reads, iteration just scales the shift by m.
+the entries it reads, iteration just scales the shift by m.  ``_twist`` holds
+these formulas once, for Python ints and for numpy digit arrays alike.
 
 The u/v twists realise the Euclidean algorithm on each handle pair, the
 w twists merge handle values, and together they drive every tuple to one of
@@ -71,6 +72,13 @@ class TwistGenerator:
         if self.power == 0:
             raise ValueError("power must be a nonzero integer, got 0")
 
+    @classmethod
+    def _trusted(cls, family: str, index: int, power: int) -> "TwistGenerator":
+        """A generator from a valid family, index and nonzero power, unchecked."""
+        gen = object.__new__(cls)
+        gen.__dict__.update(family=family, index=index, power=power)
+        return gen
+
     def inverse(self) -> "TwistGenerator":
         return TwistGenerator(self.family, self.index, -self.power)
 
@@ -92,6 +100,8 @@ class TwistWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", tuple(self.word))
+        if not all(isinstance(gen, TwistGenerator) for gen in self.word):
+            raise ValueError("twist word letters must be TwistGenerator instances")
 
     def __len__(self) -> int:
         return len(self.word)
@@ -109,24 +119,37 @@ class TwistWord:
         return cls(tuple(TwistGenerator.from_json(g) for g in data))
 
 
-def _apply_inplace(coords: list[int], r: int, genus: int, family: str, index: int, power: int) -> None:
-    i = index - 1
-    if family == "U":
-        if not 1 <= index <= genus:
-            raise ValueError(f"u-twist index {index} out of range for genus {genus}")
-        coords[2 * i + 1] = (coords[2 * i + 1] - power * coords[2 * i]) % r
-    elif family == "V":
-        if not 1 <= index <= genus:
-            raise ValueError(f"v-twist index {index} out of range for genus {genus}")
-        coords[2 * i] = (coords[2 * i] + power * coords[2 * i + 1]) % r
-    else:
-        if not 1 <= index <= genus - 1:
-            raise ValueError(f"w-twist index {index} out of range for genus {genus}")
-        # the shift depends only on s-entries, which the twist fixes, so a
-        # power m moves the t-entries by m*shift
-        shift = coords[2 * i] - coords[2 * i + 2] + 1
-        coords[2 * i + 1] = (coords[2 * i + 1] - power * shift) % r
-        coords[2 * i + 3] = (coords[2 * i + 3] + power * shift) % r
+def _check_index(family: str, index: int, genus: int) -> None:
+    """A u/v twist acts on handle index in [1, g], a w twist on [1, g - 1]."""
+    limit = genus if family != "W" else genus - 1
+    if not 1 <= index <= limit:
+        raise ValueError(f"{family}-twist index {index} out of range for genus {genus}")
+
+
+def _twist(digits, r: int, family: str, i: int, m: int):
+    """(slot, new value) for each entry of (s_1, t_1, ..., s_g, t_g), ints or
+    int64 digit arrays in [0, r), that a power m in [0, r) of twist i (0-based)
+    changes; unreduced mod r but never negative, as subtractions use r - m and
+    omega = s_i - s_{i+1} + 1 is shifted by r."""
+    s, t = digits[2 * i], digits[2 * i + 1]
+    if family == "U":  # t_i <- t_i - m s_i
+        return ((2 * i + 1, t + (r - m) * s),)
+    if family == "V":  # s_i <- s_i + m t_i
+        return ((2 * i, s + m * t),)
+    # t_i <- t_i - m omega,  t_{i+1} <- t_{i+1} + m omega
+    omega = s - digits[2 * i + 2] + (r + 1)
+    return ((2 * i + 1, t + (r - m) * omega), (2 * i + 3, digits[2 * i + 3] + m * omega))
+
+
+def _parity(digits, genus: int):
+    """sum((s_i + 1)(t_i + 1)) mod 2 of non-negative ints or int64 digit arrays."""
+    return sum((digits[2 * i] + 1) * (digits[2 * i + 1] + 1) for i in range(genus)) & 1
+
+
+def _apply_inplace(coords: list, r: int, family: str, index: int, power: int) -> None:
+    # callers check the index; a power acts only through its value mod r
+    for slot, value in _twist(coords, r, family, index - 1, power % r):
+        coords[slot] = value % r
 
 
 def apply_generator(root: RootTuple, gen: TwistGenerator) -> RootTuple:
@@ -136,13 +159,12 @@ def apply_generator(root: RootTuple, gen: TwistGenerator) -> RootTuple:
 
 def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> RootTuple:
     """Apply the letters of a word left to right; the empty word is the identity."""
-    generators = word.word if isinstance(word, TwistWord) else tuple(word)
-    if not all(isinstance(gen, TwistGenerator) for gen in generators):
-        raise ValueError("twist word letters must be TwistGenerator instances")
+    word = word if isinstance(word, TwistWord) else TwistWord(word)
     coords = list(root.coords)
     r, genus = root.order, root.genus
-    for gen in generators:
-        _apply_inplace(coords, r, genus, gen.family, gen.index, gen.power)
+    for gen in word.word:
+        _check_index(gen.family, gen.index, genus)
+        _apply_inplace(coords, r, gen.family, gen.index, gen.power)
     return RootTuple._trusted(r, tuple(coords))
 
 
@@ -162,10 +184,7 @@ def a_invariant(root: RootTuple) -> int:
     """
     if root.order % 2 != 0:
         raise OddOrder(f"the parity invariant is undefined for odd order {root.order}")
-    total = 0
-    for i in range(root.genus):
-        total += (root.coords[2 * i] + 1) * (root.coords[2 * i + 1] + 1)
-    return total % 2
+    return _parity(root.coords, root.genus)
 
 
 @dataclass(frozen=True)
@@ -290,7 +309,7 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
         # the action of a power only depends on it mod r and powers of one
         # twist add, so keep words short: fold each letter into an
         # equal-twist predecessor and drop letters that vanish mod r
-        _apply_inplace(state, r, g, family, index, power)
+        _apply_inplace(state, r, family, index, power)
         if word and word[-1][:2] == (family, index):
             power += word.pop()[2]
         power = _signed_residue(power, r)
@@ -351,4 +370,4 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
 
     if tuple(state) != form.canonical_coords():
         raise RuntimeError("witness replay did not reach the canonical representative")
-    return form, TwistWord(tuple(TwistGenerator(*letter) for letter in word))
+    return form, TwistWord([TwistGenerator._trusted(*letter) for letter in word])

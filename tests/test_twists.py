@@ -212,6 +212,14 @@ def test_twist_word_json_round_trip():
         TwistWord.from_json({"family": "U"})
 
 
+@pytest.mark.parametrize("letters", [(1, 2), (("U", 1, 1),), [TwistGenerator("V", 1), "U"]])
+def test_twist_word_refuses_other_letters(letters):
+    with pytest.raises(ValueError):
+        TwistWord(letters)
+    with pytest.raises(ValueError):
+        apply_word(RootTuple(3, (1, 2)), letters)
+
+
 def _assert_short_replaying_witness(root):
     form, witness = reduce_with_witness(root)
     assert apply_word(root, witness) == form.canonical_root()
@@ -272,6 +280,17 @@ def test_standard_form_refuses_non_integers():
         StandardForm("all_zero", 4, 2.0)
     with pytest.raises(ValueError):
         StandardForm("genus0", True, 0)
+
+
+def test_witness_letters_equal_validated_generators():
+    rng = random.Random(11)
+    for _ in range(200):
+        g, r = rng.randint(1, 4), rng.choice((2, 3, 6, 101, 10000))
+        _, witness = reduce_with_witness(RootTuple(r, tuple(rng.randrange(r) for _ in range(2 * g))))
+        for gen in witness.word:
+            validated = TwistGenerator(gen.family, gen.index, gen.power)
+            assert gen == validated and hash(gen) == hash(validated)
+            assert type(gen.index) is int and type(gen.power) is int
 
 
 def test_library_made_roots_equal_validated_ones():

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -5,9 +6,10 @@ import pytest
 
 import orbispin.moduli
 import orbispin.verification
-from orbispin import OrbifoldSignature
+from orbispin import OrbifoldSignature, RootTuple, TwistGenerator, apply_word, partition_orbits
 from orbispin.cli import main
 from orbispin.verification import GridBounds, run_suite
+from helpers import _twist, bfs_partition, context_for
 
 ROWS = (
     "existence", "round-trip", "a-invariance", "orbit-census",
@@ -106,6 +108,39 @@ def test_a_wrong_admissibility_test_fails_the_existence_row(monkeypatch, capsys,
             lambda sig, r: real(sig, r) != ((sig, r) == flipped),
         )
     assert _verify_rows(capsys, grid) == (1, {"existence"})
+
+
+def test_the_one_twist_formula_feeds_every_consumer(monkeypatch):
+    real = orbispin.twists._twist
+
+    def broken(digits, r, family, i, m):
+        if family == "U":  # t_i <- t_i - m (s_i + 1): moves the parity when s_i is even
+            return ((2 * i + 1, digits[2 * i + 1] + (r - m) * (digits[2 * i] + 1)),)
+        return real(digits, r, family, i, m)
+
+    patched = [
+        name for name, module in list(sys.modules.items())
+        if name.startswith("orbispin") and getattr(module, "_twist", None) is real
+    ]
+    assert {"orbispin.twists", "orbispin.orbits"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "_twist", broken)
+    # at r = 1 every other row still passes: all its tuples are zero
+    results = {res.name: res for res in run_suite(GridBounds(max_genus=0, max_order=1))}
+    assert [name for name, res in results.items() if not res.passed] == ["a-invariance"]
+    assert re.fullmatch(
+        r"violated at \(\d+(, \d+){3,5}\), r=[24], TwistGenerator\(family='U', .*\)",
+        results["a-invariance"].detail,
+    )
+    u1 = TwistGenerator("U", 1)
+    assert apply_word(RootTuple(5, (2, 3)), [u1]).coords != _twist((2, 3), 5, "U", 0, 1)
+    standard = [("U", 1, 1), ("V", 1, 1), ("U", 2, 1), ("V", 2, 1), ("W", 1, 1)]
+    try:
+        orbits = partition_orbits(context_for(2, 4)).orbits
+        found = [(rec.representative.coords, rec.size) for rec in orbits]
+    except RuntimeError:  # an orbit mixing parities
+        found = None
+    assert found != bfs_partition(4, 2, standard)
 
 
 def test_failed_census_names_its_gr(monkeypatch):
