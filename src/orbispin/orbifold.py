@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, prod
 from typing import Any
 
 from .errors import NotHyperbolic
@@ -57,6 +58,13 @@ class OrbifoldSignature:
     def num_cone_points(self) -> int:
         return len(self.cone_multiplicities)
 
+    @cached_property
+    def _chi(self) -> Fraction:
+        # one Fraction over the product of the multiplicities, made on first use
+        product = prod(self.cone_multiplicities)
+        numerator = (2 - 2 * self.genus - self.num_cone_points) * product
+        return Fraction(numerator + sum(product // a for a in self.cone_multiplicities), product)
+
     def to_json(self) -> dict[str, Any]:
         return {"genus": self.genus, "cone_points": list(self.cone_multiplicities)}
 
@@ -71,11 +79,9 @@ class OrbifoldSignature:
 
 
 def chi_orb(sig: OrbifoldSignature) -> Fraction:
-    """Exact orbifold Euler characteristic 2 - 2g - n + sum(1/alpha_j)."""
-    value = Fraction(2 - 2 * sig.genus - sig.num_cone_points)
-    for a in sig.cone_multiplicities:
-        value += Fraction(1, a)
-    return value
+    """Exact orbifold Euler characteristic 2 - 2g - n + sum(1/alpha_j),
+    computed once per signature object."""
+    return sig._chi
 
 
 def is_hyperbolic(sig: OrbifoldSignature) -> bool:
@@ -95,10 +101,7 @@ def multiplicity_product_chi(sig: OrbifoldSignature) -> int:
     Expanding the formula for chi shows the product clears every
     denominator, so the result is an exact integer; this is asserted.
     """
-    product = 1
-    for a in sig.cone_multiplicities:
-        product *= a
-    value = product * chi_orb(sig)
+    value = prod(sig.cone_multiplicities) * chi_orb(sig)
     assert value.denominator == 1, f"expected an integer, got {value}"
     return value.numerator
 

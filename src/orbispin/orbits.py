@@ -2,18 +2,49 @@
 
 States are packed into mixed-radix integers (base r, big-endian, so index
 order is lexicographic order of tuples) and the search works on numpy index
-arrays, so no per-state Python objects are created.  Orbits are discovered
-in ascending order of their lexicographically minimal member, which
-therefore serves as the representative.
+arrays, so no per-state Python objects are created.  Each orbit is
+represented by its lexicographically least member, and orbits are listed in
+ascending order of it.  A move is one generator power reduced mod r; its
+packed images are built from the decoded digits by ``twists._twist``.
 
-The search needs neither a sort nor the inverse twists.  Each generator is a
-bijection of Z_r^{2g}, so it maps the distinct states of a frontier to
-distinct images: the images not yet marked in ``visited`` are new and
-distinct, and once marked, later generators find any repeats.  Each
-generator has finite order, so its inverse is a positive power of it and the
-closure under the generators alone is the whole orbit.  A frontier is
-decoded into its 2g digit arrays once, in bounded chunks; the generator
-images (by ``twists._twist``) and the label check are built from them.
+Two engines partition the space and give identical records.
+
+Breadth-first search (``_levels``), one orbit at a time, for large spaces.
+It needs neither a sort nor the inverse twists.  Each move is a bijection
+of Z_r^{2g}, so it maps the distinct states of a frontier to distinct
+images: the images not yet marked in ``visited`` are new and distinct, and
+once marked, later moves find any repeats.  Each move has finite order, so
+its inverse is a positive power of it and the closure under the moves alone
+is the whole orbit.  A frontier is decoded into its 2g digit arrays once, in
+bounded chunks, and the label check reads them.  Memory is the 1 B/state
+``visited`` mask plus the widest level.
+
+Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
+J. Algorithms 1982) for small spaces, where the search above is mostly
+per-call numpy overhead.  It decodes every state once and builds one packed
+image table per move and its inverse, 16 B per state and move.  Each sweep
+lowers every state's label to the least label among its images and
+preimages, then jumps pointers (label = label[label]).  Sweeps repeat
+until one changes nothing: at most 8 sweeps on every (g, r) within the
+bound.  A label starts at the state itself, only decreases, and always
+names a member of the state's orbit.  At the fixed point
+label[x] <= label[m(x)] for every move m, and a move permutes each of its
+finite cycles, so the label is constant on every orbit; being at most
+every member and itself a member, it is the orbit's least member.  The
+representatives are then the states that label themselves, already in
+ascending order.
+
+``partition_orbits`` chooses the tables when states x distinct moves is at
+most ``_TABLE_CELLS`` = 2^16, so its tables take at most 1 MB.  In a
+sweep of both engines (``BENCH_9.json``, 2-core box) the tables won by
+2.2-9.7x up to 4,096 states and by 1.65x at (2, 10) (50,000 cells); the
+search won at (2, 11) (73,205 cells) by 1.5x and at (2, 31) by 3.9x.  From
+about 2^15 to 2^16 cells the winner at genus 1 follows the orbit count, not
+the size: the search was 1.5-2x faster at prime r (two orbits), the tables
+1.7-2.8x faster at r = 144, 150, 160, 180.  The tables take 1,227 of the
+1,266 contexts of the benchmark's census, all but (2, 11) and (3, 5), and
+the search every space of 10^5 or more states.  ``orbit_of`` always uses
+the search.
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -95,8 +126,15 @@ def standard_generators(genus: int) -> tuple[TwistGenerator, ...]:
     return tuple(handles + [TwistGenerator("W", i) for i in range(1, genus)])
 
 
+# (family, 0-based index, power in [1, r)): one generator power acting on Z_r^{2g}
+_Move = tuple[str, int, int]
+
 # states decoded at a time: bounds the digit and image arrays of one step
 _CHUNK = 1 << 15
+
+# the largest table size (states x distinct moves) searched by image tables;
+# larger spaces go to the breadth-first search
+_TABLE_CELLS = 1 << 16
 
 
 def _weights(r: int, genus: int) -> list[int]:
@@ -126,16 +164,28 @@ def _digits(states: np.ndarray | int, r: int, count: int) -> list:
     return digits[::-1]
 
 
-def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[TwistGenerator, ...]):
+def _moves(gens: Iterable[TwistGenerator], r: int) -> tuple[_Move, ...]:
+    """The distinct (family, 0-based index, power mod r) moves of ``gens``;
+    a power divisible by r acts trivially and is dropped."""
+    return tuple(dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r))
+
+
+def _image(states: np.ndarray, digits: list, r: int, w: list[int], move: _Move) -> np.ndarray:
+    """The packed images of packed ``states``, decoded into ``digits``, under one move."""
+    image = states
+    for slot, value in _twist(digits, r, *move):
+        image = image + (_mod(value, r) - digits[slot]) * w[slot]
+    return image
+
+
+def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Move, ...]):
     """Breadth-first search from ``seed``: yields each chunk of each level as
     (states, digits) and marks every state it reaches in ``visited``.
 
-    One generator is a bijection, so its images of distinct states are
-    distinct; those not yet visited are new and need no further dedupe.
-    A power divisible by r acts trivially and is dropped.
+    One move is a bijection, so its images of distinct states are distinct;
+    those not yet visited are new and need no further dedupe.
     """
     import numpy as np
-    moves = dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r)
     w = _weights(r, genus)
     visited[seed] = True
     frontier = np.array([seed], dtype=np.int64)
@@ -146,9 +196,7 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, gens: tuple[Twis
             digits = _digits(states, r, 2 * genus)
             yield states, digits
             for move in moves:
-                image = states
-                for slot, value in _twist(digits, r, *move):
-                    image = image + (_mod(value, r) - digits[slot]) * w[slot]
+                image = _image(states, digits, r, w, move)
                 fresh = image[~visited[image]]
                 visited[fresh] = True
                 level.append(fresh)
@@ -171,8 +219,8 @@ def orbit_of(
     import numpy as np
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
-    gens = _validated(generators, g)
-    levels = _levels(_encode(root.coords, r), np.zeros(total, dtype=bool), r, g, gens)
+    moves = _moves(_validated(generators, g), r)
+    levels = _levels(_encode(root.coords, r), np.zeros(total, dtype=bool), r, g, moves)
     chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
     return {RootTuple._trusted(r, tuple(row)) for rows in chunks for row in rows}
 
@@ -188,27 +236,75 @@ def partition_orbits(
     lexicographically least member), and the whole orbit is checked to share
     that form; a mixed orbit would raise RuntimeError.
     """
-    import numpy as np
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
-    gens = _validated(generators, genus)
-    visited = np.zeros(total, dtype=bool)
+    moves = _moves(_validated(generators, genus), r)
+    search = _orbits_by_tables if total * len(moves) <= _TABLE_CELLS else _orbits_by_levels
+    return OrbitPartition(r, genus, tuple(search(r, genus, moves)))
+
+
+def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm, int]:
+    """The representative and label of the orbit whose least member is
+    ``seed``, and the invariant value that label predicts for the orbit."""
+    rep = RootTuple(r, _digits(seed, r, 2 * genus))
+    label = canonical_form(rep)
+    # the Arf-type parity is g mod 2 exactly on the all-zero class
+    expected = label.d if genus == 1 else (genus + (label.kind != KIND_ALL_ZERO)) % 2
+    return rep, label, expected
+
+
+def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
+    """One breadth-first search per orbit, seeded at the least unvisited state."""
+    import numpy as np
+    visited = np.zeros(r ** (2 * genus), dtype=bool)
     invariant = _invariant(r, genus)
     records: list[OrbitRecord] = []
     seed = 0
     while not visited[seed]:
-        rep = RootTuple(r, _digits(seed, r, 2 * genus))
-        label = canonical_form(rep)
-        # the Arf-type parity is g mod 2 exactly on the all-zero class
-        expected = label.d if genus == 1 else (genus + (label.kind != KIND_ALL_ZERO)) % 2
+        rep, label, expected = _head(seed, r, genus)
         size = 0
-        for states, digits in _levels(seed, visited, r, genus, gens):
+        for states, digits in _levels(seed, visited, r, genus, moves):
             size += states.size
             if invariant is not None and not np.all(invariant(digits) == expected):
                 raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
         records.append(OrbitRecord(rep, size, label))
         seed += int(visited[seed:].argmin())  # the next unvisited state, if any
-    return OrbitPartition(r, genus, tuple(records))
+    return records
+
+
+def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
+    """Every state's least orbit member at once, by min-label propagation
+    along one image table per move, in both directions, and pointer jumping."""
+    import numpy as np
+    states = np.arange(r ** (2 * genus))
+    digits = _digits(states, r, 2 * genus)
+    w = _weights(r, genus)
+    tables = [_image(states, digits, r, w, move) for move in moves]
+    # the inverses go after all the images: interleaving them took more sweeps
+    for image in tables[: len(moves)]:
+        inverse = np.empty_like(image)
+        inverse[image] = states
+        tables.append(inverse)
+    least = states.copy()
+    while True:
+        before = least.copy()
+        for table in tables:
+            np.minimum(least, least[table], out=least)
+        least = least[least]
+        if np.array_equal(least, before):
+            break
+    seeds = np.flatnonzero(least == states)
+    heads = [_head(seed, r, genus) for seed in seeds.tolist()]
+    invariant = _invariant(r, genus)
+    if invariant is not None:
+        predicted = np.zeros(states.size, dtype=np.int64)
+        predicted[seeds] = [expected for _, _, expected in heads]
+        mixed = least[invariant(digits) != predicted[least]]
+        if mixed.size:
+            rep = heads[int(np.searchsorted(seeds, mixed.min()))][0]
+            raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
+    sizes = np.bincount(least)[seeds].tolist()
+    return [OrbitRecord(rep, size, label) for (rep, label, _), size in zip(heads, sizes)]
 
 
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:

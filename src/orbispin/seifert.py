@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Any
 
 from .errors import InadmissibleOrder, NotSL2Quotient
@@ -53,12 +55,16 @@ class SeifertInvariants:
     def base_signature(self) -> OrbifoldSignature:
         return OrbifoldSignature(self.genus, tuple(a for a, _ in self.multiple_fibres))
 
+    @cached_property
+    def _euler(self) -> Fraction:
+        # one Fraction over the product of the multiplicities, made on first use
+        product = prod(a for a, _ in self.multiple_fibres)
+        numerator = self.obstruction * product + sum(b * (product // a) for a, b in self.multiple_fibres)
+        return Fraction(-numerator, product)
+
     def euler_number(self) -> Fraction:
-        """e = -(b + sum_j beta_j / alpha_j), exact."""
-        total = Fraction(self.obstruction)
-        for a, b in self.multiple_fibres:
-            total += Fraction(b, a)
-        return -total
+        """e = -(b + sum_j beta_j / alpha_j), exact; computed once per object."""
+        return self._euler
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -119,10 +119,14 @@ class TwistWord:
         return cls(tuple(TwistGenerator.from_json(g) for g in data))
 
 
+def _index_limits(genus: int) -> dict[str, int]:
+    """The largest index of each family: a u/v twist acts on handle index in
+    [1, g], a w twist on [1, g - 1]."""
+    return {"U": genus, "V": genus, "W": genus - 1}
+
+
 def _check_index(family: str, index: int, genus: int) -> None:
-    """A u/v twist acts on handle index in [1, g], a w twist on [1, g - 1]."""
-    limit = genus if family != "W" else genus - 1
-    if not 1 <= index <= limit:
+    if not 1 <= index <= _index_limits(genus)[family]:
         raise ValueError(f"{family}-twist index {index} out of range for genus {genus}")
 
 
@@ -162,8 +166,10 @@ def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> R
     word = word if isinstance(word, TwistWord) else TwistWord(word)
     coords = list(root.coords)
     r, genus = root.order, root.genus
+    limits = _index_limits(genus)
     for gen in word.word:
-        _check_index(gen.family, gen.index, genus)
+        if not 1 <= gen.index <= limits[gen.family]:
+            _check_index(gen.family, gen.index, genus)  # raises, naming the letter
         _apply_inplace(coords, r, gen.family, gen.index, gen.power)
     return RootTuple._trusted(r, tuple(coords))
 

@@ -3,11 +3,13 @@
 The brute-force solvability oracle below deliberately avoids the library's
 modular-inverse shortcut: it searches the normalised beta ranges directly
 and checks divisibility, so it can act as an independent referee for the
-admissibility test and the relation solver.  The orbit oracles count pairs
-and search tuples directly, from the twist formulas alone.
+admissibility test and the relation solver.  The Euler characteristic and
+Euler number oracles add one Fraction per term.  The orbit oracles count
+pairs and search tuples directly, from the twist formulas alone.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
 
@@ -42,6 +44,22 @@ def rv_solvable_bruteforce(sig, r):
         if (2 * sig.genus - 2 - sum(ks)) % r == 0:
             return True
     return False
+
+
+def chi_by_fraction_sum(sig):
+    """2 - 2g - n + sum(1/alpha_j), one Fraction term at a time."""
+    value = Fraction(2 - 2 * sig.genus - len(sig.cone_multiplicities))
+    for a in sig.cone_multiplicities:
+        value += Fraction(1, a)
+    return value
+
+
+def euler_by_fraction_sum(inv):
+    """-(b + sum(beta_j/alpha_j)), one Fraction term at a time."""
+    value = Fraction(inv.obstruction)
+    for a, b in inv.multiple_fibres:
+        value += Fraction(b, a)
+    return -value
 
 
 # hyperbolic signatures admitting the listed order, for orbit census checks

@@ -1,8 +1,10 @@
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
+from orbispin import orbits
 from orbispin import (
     CountOverflow,
     OrbifoldSignature,
@@ -205,6 +207,49 @@ def test_partition_matches_tuple_bfs_for_other_powers():
         gens = [TwistGenerator(*p) for p in powers]
         partition = partition_orbits(context_for(genus, r), generators=gens)
         assert _records(partition) == bfs_partition(r, genus, powers), (genus, r)
+
+
+# 50,000 and 73,205 table cells (states x moves), either side of the engine choice
+_BOUNDARY = [(2, 10), (2, 11)]
+_ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels]
+
+
+@pytest.mark.parametrize("powers", [(1,), (2, -3)])
+def test_both_engines_match_tuple_bfs(powers):
+    assert 10**4 * 5 <= orbits._TABLE_CELLS < 11**4 * 5
+    for genus, r in _SMALL + _BOUNDARY:
+        letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
+        moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+        expected = bfs_partition(r, genus, letters)
+        for engine in _ENGINES:
+            records = engine(r, genus, moves)
+            assert [(rec.representative.coords, rec.size) for rec in records] == expected, (engine, genus, r)
+
+
+def test_engine_choice_follows_table_size(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the other engine was chosen")
+
+    tables_side, levels_side = (context_for(genus, r) for genus, r in _BOUNDARY)
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_orbits_by_levels", refuse)
+        assert partition_orbits(tables_side).sizes() == orbit_count_closed_form(2, 10)
+    monkeypatch.setattr(orbits, "_orbits_by_tables", refuse)
+    assert partition_orbits(levels_side).sizes() == (11**4,)
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_both_engines_check_every_state_label(monkeypatch, engine):
+    # flip the parity at (1, 1, 1, 1) alone, a member of the all-zero orbit
+    # of (2, 2) but not its least one
+    parity = orbits._invariant(2, 2)
+
+    def flipped(r, genus):
+        return lambda digits: parity(digits) ^ np.logical_and.reduce([d == 1 for d in digits])
+
+    monkeypatch.setattr(orbits, "_invariant", flipped)
+    with pytest.raises(RuntimeError, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
+        engine(2, 2, orbits._moves(standard_generators(2), 2))
 
 
 def test_single_twist_orbits_match_tuple_bfs():

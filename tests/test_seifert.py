@@ -16,7 +16,7 @@ from orbispin import (
     solve_raymond_vasquez,
     unit_tangent_bundle,
 )
-from helpers import hyperbolic_grid, rv_solvable_bruteforce
+from helpers import chi_by_fraction_sum, euler_by_fraction_sum, hyperbolic_grid, rv_solvable_bruteforce
 
 
 def test_order_one_solution_is_the_unit_tangent_bundle():
@@ -174,3 +174,25 @@ def test_context_loader_refuses_non_integers():
         RootContext.from_json({**ctx.to_json(), "k": [float(k)]})
     with pytest.raises(ValueError):
         RootContext(ctx.signature, 2.0, ctx.invariants, ctx.twist_integers, ctx.euler_number)
+
+
+def test_chi_and_euler_number_equal_term_by_term_sums():
+    for sig in hyperbolic_grid():
+        assert chi_orb(sig) == chi_by_fraction_sum(sig)
+        for r in admissible_root_orders(sig):
+            ctx = solve_raymond_vasquez(sig, r)
+            assert ctx.euler_number == ctx.invariants.euler_number() == euler_by_fraction_sum(ctx.invariants)
+    for sig in [OrbifoldSignature(0), OrbifoldSignature(1), OrbifoldSignature(0, (2, 3, 6)), OrbifoldSignature(0, (5,))]:
+        assert chi_orb(sig) == chi_by_fraction_sum(sig)
+
+
+def test_cached_chi_and_euler_number_leave_equality_hash_repr_and_json_alone():
+    for make, compute in [
+        (lambda: OrbifoldSignature(2, (3, 5)), chi_orb),
+        (lambda: SeifertInvariants(2, -1, ((3, 2), (5, 1))), SeifertInvariants.euler_number),
+    ]:
+        used, fresh = make(), make()
+        before = (hash(used), repr(used), used.to_json())
+        assert compute(used) is compute(used)
+        assert used == fresh and fresh == used
+        assert (hash(used), repr(used), used.to_json()) == before == (hash(fresh), repr(fresh), fresh.to_json())
