@@ -21,13 +21,7 @@ import os
 import sys
 from typing import Any
 
-from .errors import (
-    CountOverflow,
-    InadmissibleOrder,
-    NotHyperbolic,
-    NotSL2Quotient,
-    OddOrder,
-)
+from .errors import CountOverflow, OrbispinError
 from .moduli import moduli_report
 from .orbifold import OrbifoldSignature, admissible_root_orders, chi_orb
 from .orbits import partition_orbits
@@ -46,8 +40,6 @@ from .seifert import (
 )
 from .twists import TwistWord, apply_word, reduce_with_witness
 from .verification import GridBounds, run_suite
-
-_DOMAIN_ERRORS = (NotHyperbolic, InadmissibleOrder, NotSL2Quotient, OddOrder)
 
 
 def _load_text(arg: str) -> str:
@@ -302,12 +294,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 1:
             raise ValueError(f"the state cap must be positive, got {args.cap}")
         return args.func(args)
-    except _DOMAIN_ERRORS as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
     except CountOverflow as err:
         print(f"CountOverflow: {err}", file=sys.stderr)
         return 3
+    except OrbispinError as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
         print(f"UsageError: {err}", file=sys.stderr)
         return 2

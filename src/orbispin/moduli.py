@@ -47,7 +47,7 @@ class ModuliReport:
 
     context: RootContext
     components: tuple[tuple[StandardForm, int], ...]
-    base_note: str = BASE_NOTE
+    base_note = BASE_NOTE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -106,14 +106,9 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
     elif r % 2 == 1:
         components = [(StandardForm(KIND_ALL_ZERO, r, g), total)]
     else:
-        even_count, odd_count = orbit_count_closed_form(g, r)
-        # the all-zero class has even parity exactly when g is even
-        all_zero = even_count if g % 2 == 0 else odd_count
-        last_one = odd_count if g % 2 == 0 else even_count
-        components = [
-            (StandardForm(KIND_ALL_ZERO, r, g), all_zero),
-            (StandardForm(KIND_LAST_ONE, r, g), last_one),
-        ]
+        counts = orbit_count_closed_form(g, r)  # indexed by parity: (even, odd)
+        forms = (StandardForm(KIND_ALL_ZERO, r, g), StandardForm(KIND_LAST_ONE, r, g))
+        components = [(form, counts[form.invariant]) for form in forms]
     report = ModuliReport(ctx, tuple(components))
     if g and state_cap is not None and total <= state_cap:  # genus 0: one state, no search
         partition = partition_orbits(ctx, cap=state_cap)

@@ -22,29 +22,29 @@ bounded chunks, and the label check reads them.  Memory is the 1 B/state
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
 J. Algorithms 1982) for small spaces, where the search above is mostly
 per-call numpy overhead.  It decodes every state once and builds one packed
-image table per move and its inverse, 16 B per state and move.  Each sweep
-lowers every state's label to the least label among its images and
-preimages, then jumps pointers (label = label[label]).  Sweeps repeat
-until one changes nothing: at most 8 sweeps on every (g, r) within the
-bound.  A label starts at the state itself, only decreases, and always
-names a member of the state's orbit.  At the fixed point
-label[x] <= label[m(x)] for every move m, and a move permutes each of its
-finite cycles, so the label is constant on every orbit; being at most
-every member and itself a member, it is the orbit's least member.  The
-representatives are then the states that label themselves, already in
-ascending order.
+image table per move, 8 B per state and move; no inverse tables are built.
+Each sweep lowers every state's label to the least label among its images,
+pulling labels from images only, then jumps pointers (label =
+label[label]).  Sweeps repeat until one changes nothing: at most 16 sweeps
+on every (g, r) within the bound, at (1, 145).  A label starts at the state
+itself, only decreases, and always names a member of the state's orbit.  At
+the fixed point label[x] <= label[m(x)] for every move m, and a move
+permutes each of its finite cycles, so the label is constant on every
+cycle and hence on every orbit; being at most every member and itself a
+member, it is the orbit's least member.  The representatives are then the
+states that label themselves, already in ascending order.
 
 ``partition_orbits`` chooses the tables when states x distinct moves is at
-most ``_TABLE_CELLS`` = 2^16, so its tables take at most 1 MB.  In a
-sweep of both engines (``BENCH_9.json``, 2-core box) the tables won by
-2.2-9.7x up to 4,096 states and by 1.65x at (2, 10) (50,000 cells); the
-search won at (2, 11) (73,205 cells) by 1.5x and at (2, 31) by 3.9x.  From
+most ``_TABLE_CELLS`` = 2^16, so its tables take at most 512 KB.  In a
+sweep of both engines (``BENCH_10.json``, 2-core box) the tables won by
+2.1-9.8x up to 4,096 states and by 2.0x at (2, 10) (50,000 cells); the
+search won at (2, 11) (73,205 cells) by 1.1x and at (2, 31) by 3.6x.  From
 about 2^15 to 2^16 cells the winner at genus 1 follows the orbit count, not
-the size: the search was 1.5-2x faster at prime r (two orbits), the tables
-1.7-2.8x faster at r = 144, 150, 160, 180.  The tables take 1,227 of the
-1,266 contexts of the benchmark's census, all but (2, 11) and (3, 5), and
-the search every space of 10^5 or more states.  ``orbit_of`` always uses
-the search.
+the size: the search was 1.3-2.1x faster at prime r (two orbits), the
+tables 1.8-2.6x faster at r = 144, 150, 160, 180.  The tables take 1,227 of
+the 1,266 contexts of the benchmark's census, all but (2, 11) and (3, 5),
+and the search every space of 10^5 or more states.  ``orbit_of`` always
+uses the search.
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -63,13 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .orbifold import divisors
 from .roots import DEFAULT_STATE_CAP, RootTuple, _check_state_count
 from .seifert import RootContext
 from .twists import (
-    KIND_ALL_ZERO,
     StandardForm,
     TwistGenerator,
     _check_index,
@@ -203,13 +202,6 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Mo
         frontier = np.concatenate(level)
 
 
-def _encode(coords: Sequence[int], r: int) -> int:
-    index = 0
-    for c in coords:
-        index = index * r + (c % r)
-    return index
-
-
 def orbit_of(
     root: RootTuple,
     cap: int | None = DEFAULT_STATE_CAP,
@@ -220,7 +212,8 @@ def orbit_of(
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
     moves = _moves(_validated(generators, g), r)
-    levels = _levels(_encode(root.coords, r), np.zeros(total, dtype=bool), r, g, moves)
+    seed = sum(c * w for c, w in zip(root.coords, _weights(r, g)))
+    levels = _levels(seed, np.zeros(total, dtype=bool), r, g, moves)
     chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
     return {RootTuple._trusted(r, tuple(row)) for rows in chunks for row in rows}
 
@@ -243,14 +236,10 @@ def partition_orbits(
     return OrbitPartition(r, genus, tuple(search(r, genus, moves)))
 
 
-def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm, int]:
-    """The representative and label of the orbit whose least member is
-    ``seed``, and the invariant value that label predicts for the orbit."""
+def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
+    """The representative and label of the orbit whose least member is ``seed``."""
     rep = RootTuple(r, _digits(seed, r, 2 * genus))
-    label = canonical_form(rep)
-    # the Arf-type parity is g mod 2 exactly on the all-zero class
-    expected = label.d if genus == 1 else (genus + (label.kind != KIND_ALL_ZERO)) % 2
-    return rep, label, expected
+    return rep, canonical_form(rep)
 
 
 def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
@@ -261,11 +250,11 @@ def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
     records: list[OrbitRecord] = []
     seed = 0
     while not visited[seed]:
-        rep, label, expected = _head(seed, r, genus)
+        rep, label = _head(seed, r, genus)
         size = 0
         for states, digits in _levels(seed, visited, r, genus, moves):
             size += states.size
-            if invariant is not None and not np.all(invariant(digits) == expected):
+            if invariant is not None and not np.all(invariant(digits) == label.invariant):
                 raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
         records.append(OrbitRecord(rep, size, label))
         seed += int(visited[seed:].argmin())  # the next unvisited state, if any
@@ -274,17 +263,12 @@ def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
 
 def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
     """Every state's least orbit member at once, by min-label propagation
-    along one image table per move, in both directions, and pointer jumping."""
+    along one image table per move and pointer jumping."""
     import numpy as np
     states = np.arange(r ** (2 * genus))
     digits = _digits(states, r, 2 * genus)
     w = _weights(r, genus)
     tables = [_image(states, digits, r, w, move) for move in moves]
-    # the inverses go after all the images: interleaving them took more sweeps
-    for image in tables[: len(moves)]:
-        inverse = np.empty_like(image)
-        inverse[image] = states
-        tables.append(inverse)
     least = states.copy()
     while True:
         before = least.copy()
@@ -298,13 +282,13 @@ def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
     invariant = _invariant(r, genus)
     if invariant is not None:
         predicted = np.zeros(states.size, dtype=np.int64)
-        predicted[seeds] = [expected for _, _, expected in heads]
+        predicted[seeds] = [label.invariant for _, label in heads]
         mixed = least[invariant(digits) != predicted[least]]
         if mixed.size:
             rep = heads[int(np.searchsorted(seeds, mixed.min()))][0]
             raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
     sizes = np.bincount(least)[seeds].tolist()
-    return [OrbitRecord(rep, size, label) for (rep, label, _), size in zip(heads, sizes)]
+    return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, sizes)]
 
 
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:

@@ -121,13 +121,6 @@ def _surface_lhs(genus: int, num_cones: int) -> Word:
     return tuple(word)
 
 
-def _handle_names(genus: int) -> list[str]:
-    names = []
-    for i in range(1, genus + 1):
-        names += [f"u{i}", f"v{i}"]
-    return names
-
-
 def root_group_presentation(
     ctx: RootContext, root: RootTuple | None = None, mode: str = MODE_ROOT
 ) -> Presentation:
@@ -141,40 +134,33 @@ def root_group_presentation(
     surface = _surface_lhs(g, n)
     q_names = [f"q{j}" for j in range(1, n + 1)]
 
+    names = [f"{x}{i}" for i in range(1, g + 1) for x in "uv"] + q_names
     if mode == MODE_ORBIFOLD:
-        gens = [PresentationGenerator(nm) for nm in _handle_names(g) + q_names]
+        gens = [PresentationGenerator(nm) for nm in names]
         rels = [PresentationRelation(surface)]
         rels += [PresentationRelation(((q, a),)) for q, a in zip(q_names, alphas)]
         return Presentation(MODE_ORBIFOLD, tuple(gens), tuple(rels))
 
+    names.append("h")
     if mode == MODE_UNIT_TANGENT:
-        gens = [PresentationGenerator(nm) for nm in _handle_names(g) + q_names + ["h"]]
-        b = 2 * g - 2
-        rels = [PresentationRelation(surface, (("h", b),) if b else ())]
-        rels += [
-            PresentationRelation(((q, a), ("h", a - 1)))
-            for q, a in zip(q_names, alphas)
-        ]
-        return Presentation(MODE_UNIT_TANGENT, tuple(gens), tuple(rels), central=("h",))
-
-    if root is None:
-        raise ValueError("a root tuple is required for the covering-group presentation")
-    if root.order != ctx.order or root.genus != g:
-        raise ValueError(
-            f"root tuple of order {root.order}, genus {root.genus} does not match "
-            f"context of order {ctx.order}, genus {g}"
-        )
-    gens = []
-    for i in range(g):
-        gens.append(PresentationGenerator(f"u{i + 1}", root.coords[2 * i]))
-        gens.append(PresentationGenerator(f"v{i + 1}", root.coords[2 * i + 1]))
-    for q, k in zip(q_names, ctx.twist_integers):
-        gens.append(PresentationGenerator(q, k % ctx.order))
-    gens.append(PresentationGenerator("h", ctx.order))
-    b = ctx.invariants.obstruction
+        gens = [PresentationGenerator(nm) for nm in names]
+        # the order-1 covering: b = 2g - 2 and beta_j = alpha_j - 1
+        b, fibres = 2 * g - 2, tuple((a, a - 1) for a in alphas)
+    else:
+        if root is None:
+            raise ValueError("a root tuple is required for the covering-group presentation")
+        if root.order != ctx.order or root.genus != g:
+            raise ValueError(
+                f"root tuple of order {root.order}, genus {root.genus} does not match "
+                f"context of order {ctx.order}, genus {g}"
+            )
+        # s_1, t_1, ..., s_g, t_g decorate u_1, v_1, ..., u_g, v_g in order
+        shifts = [*root.coords, *(k % ctx.order for k in ctx.twist_integers), ctx.order]
+        gens = [PresentationGenerator(nm, shift) for nm, shift in zip(names, shifts)]
+        b, fibres = ctx.invariants.obstruction, ctx.invariants.multiple_fibres
     rels = [PresentationRelation(surface, (("h", b),) if b else ())]
     rels += [
         PresentationRelation(((q, a), ("h", beta)))
-        for q, (a, beta) in zip(q_names, ctx.invariants.multiple_fibres)
+        for q, (a, beta) in zip(q_names, fibres)
     ]
-    return Presentation(MODE_ROOT, tuple(gens), tuple(rels), central=("h",))
+    return Presentation(mode, tuple(gens), tuple(rels), central=("h",))

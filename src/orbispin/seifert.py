@@ -18,6 +18,9 @@ coprimality of r and alpha_j makes beta_j the unique solution of
 r*beta_j = alpha_j - 1 (mod alpha_j) in the normalised range, and the
 relations then force k_j and b.  ``recognize_fibre_index`` inverts the
 process, recovering r from given normalised invariants or rejecting them.
+Both derive each k_j by one floor division (``_twist_integers``) and leave
+every relation to ``RootContext``, whose construction is the one place they
+are checked.
 """
 
 from __future__ import annotations
@@ -111,12 +114,11 @@ class RootContext:
         ks = self.twist_integers
         if len(ks) != len(alphas):
             raise ValueError("one twist integer per cone point is required")
-        b = inv.obstruction
-        if r * b != 2 * sig.genus - 2 - sum(ks):
-            raise ValueError("long covering relation r*b = 2g-2 - sum(k_j) fails")
         for (a, beta), k in zip(inv.multiple_fibres, ks):
             if r * beta != a - 1 + k * a:
                 raise ValueError(f"covering relation fails at fibre ({a}, {beta})")
+        if r * inv.obstruction != 2 * sig.genus - 2 - sum(ks):
+            raise ValueError("long covering relation r*b = 2g-2 - sum(k_j) fails")
         if self.euler_number != inv.euler_number():
             raise ValueError("stored Euler number disagrees with the invariants")
         if r * self.euler_number != chi_orb(sig):
@@ -143,32 +145,29 @@ class RootContext:
         return cls(sig, data["r"], inv, tuple(data["k"]), Fraction(data["euler_number"]))
 
 
+def _twist_integers(r: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """k_j = (r*beta_j - alpha_j + 1) / alpha_j, rounded down: exact exactly
+    when fibre j satisfies its covering relation, which RootContext checks."""
+    return tuple((r * beta - a + 1) // a for a, beta in pairs)
+
+
 def solve_raymond_vasquez(sig: OrbifoldSignature, r: int) -> RootContext:
     """Solve the covering relations for an admissible order r.
 
     beta_j is the unique integer in [1, alpha_j - 1] with
     r*beta_j = alpha_j - 1 (mod alpha_j), i.e. beta_j = -r^{-1} mod alpha_j;
-    k_j and b follow by exact division, with integrality asserted.
+    k_j and b follow by division, which admissibility makes exact and
+    RootContext re-checks.
     """
-    assert_hyperbolic(sig)
     if not root_order_admissible(sig, r):
         raise InadmissibleOrder(
             f"order {r} is not admissible for signature {sig.to_json()}"
         )
     r = int(r)
-    pairs = []
-    ks = []
-    for a in sig.cone_multiplicities:
-        beta = (-pow(r, -1, a)) % a
-        numerator = r * beta - a + 1
-        assert numerator % a == 0, "normalised beta must solve the covering congruence"
-        pairs.append((a, beta))
-        ks.append(numerator // a)
-    remainder = 2 * sig.genus - 2 - sum(ks)
-    assert remainder % r == 0, "admissibility guarantees b is an integer"
-    b = remainder // r
-    inv = SeifertInvariants(sig.genus, b, tuple(pairs))
-    return RootContext(sig, r, inv, tuple(ks), inv.euler_number())
+    pairs = tuple((a, (-pow(r, -1, a)) % a) for a in sig.cone_multiplicities)
+    ks = _twist_integers(r, pairs)
+    inv = SeifertInvariants(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
+    return RootContext(sig, r, inv, ks, inv.euler_number())
 
 
 def unit_tangent_bundle(sig: OrbifoldSignature) -> RootContext:
@@ -180,8 +179,10 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     """Recover the fibre index r from normalised Seifert invariants.
 
     Requires a hyperbolic base.  Computes e = -(b + sum beta/alpha), demands
-    e < 0 and r = chi/e a positive integer, then re-derives every k_j and
-    verifies the long relation.  Any failure raises :class:`NotSL2Quotient`.
+    e < 0 and r = chi/e a positive integer, then derives every k_j and
+    builds the context, whose construction checks the covering relations
+    (each fibre's, then the long one).  Any failure raises
+    :class:`NotSL2Quotient`.
     """
     sig = inv.base_signature()
     assert_hyperbolic(sig)
@@ -192,14 +193,7 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     if ratio.denominator != 1 or ratio <= 0:
         raise NotSL2Quotient(f"chi/e = {ratio} is not a positive integer")
     r = int(ratio)
-    ks = []
-    for a, beta in inv.multiple_fibres:
-        numerator = r * beta - a + 1
-        if numerator % a != 0:
-            raise NotSL2Quotient(
-                f"fibre ({a}, {beta}) does not satisfy the covering congruence for r = {r}"
-            )
-        ks.append(numerator // a)
-    if r * inv.obstruction != 2 * sig.genus - 2 - sum(ks):
-        raise NotSL2Quotient("long covering relation fails for the recovered fibre index")
-    return RootContext(sig, r, inv, tuple(ks), e)
+    try:
+        return RootContext(sig, r, inv, _twist_integers(r, inv.multiple_fibres), e)
+    except ValueError as err:
+        raise NotSL2Quotient(f"{err} for the recovered fibre index r = {r}") from err

@@ -228,6 +228,16 @@ class StandardForm:
         if self.kind == KIND_LAST_ONE and self.order % 2 != 0:
             raise ValueError("last_one form occurs only for even order")
 
+    @property
+    def invariant(self) -> int:
+        """The value on this class of the twist invariant that tells the
+        classes apart: the divisor d at genus 1; otherwise the Arf-type
+        parity, which is g mod 2 exactly on the all-zero class (a parity
+        only for even r, where there are two classes)."""
+        if self.kind == KIND_GENUS1:
+            return self.d
+        return (self.genus + (self.kind == KIND_LAST_ONE)) % 2
+
     def canonical_coords(self) -> tuple[int, ...]:
         if self.kind == KIND_GENUS0:
             return ()
@@ -268,9 +278,7 @@ def canonical_form(root: RootTuple) -> StandardForm:
     if g == 1:
         d = gcd(root.coords[0], root.coords[1], r)
         return StandardForm(KIND_GENUS1, r, 1, d)
-    if r % 2 == 1:
-        return StandardForm(KIND_ALL_ZERO, r, g)
-    if a_invariant(root) == g % 2:
+    if r % 2 == 1 or a_invariant(root) == g % 2:
         return StandardForm(KIND_ALL_ZERO, r, g)
     return StandardForm(KIND_LAST_ONE, r, g)
 

@@ -29,6 +29,8 @@ from .twists import _apply_inplace, _parity, apply_word, canonical_form, reduce_
 # the census covers only (g, r) with r^{2g} at most this and the state cap
 CENSUS_STATES = 1 << 16
 SMALL_CENSUS = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4))
+# random roots per (g, r) in the witness row
+WITNESS_SAMPLES = 200
 
 Solved = dict[tuple[OrbifoldSignature, int], RootContext | None]
 
@@ -166,7 +168,7 @@ def check_censuses(solved: Solved, bounds: GridBounds, cap: int) -> Iterator[Che
         yield CheckResult(name, not failed, failed[0] if failed else detail)
 
 
-def check_witnesses(bounds: GridBounds, seed: int, samples: int = 200) -> CheckResult:
+def check_witnesses(bounds: GridBounds, seed: int) -> CheckResult:
     """Witness replay and canonical-form invariance on random data."""
     rng = random.Random(seed)
     checked = 0
@@ -174,7 +176,7 @@ def check_witnesses(bounds: GridBounds, seed: int, samples: int = 200) -> CheckR
         letters = list(standard_generators(g))
         letters += [gen.inverse() for gen in letters]
         for r in range(1, min(bounds.max_order, 6) + 1):
-            for _ in range(samples):
+            for _ in range(WITNESS_SAMPLES):
                 root = RootTuple(r, tuple(rng.randrange(r) for _ in range(2 * g)))
                 form, witness = reduce_with_witness(root)
                 if apply_word(root, witness) != form.canonical_root():

@@ -72,6 +72,14 @@ def test_recognize_round_trip(capsys):
     assert err.startswith("NotSL2Quotient:")
 
 
+def test_recognize_failed_fibre_relation_exits_one(capsys):
+    # chi/e = 8, and fibre (2, 1) fails its covering relation at r = 8
+    code, out, err = run(capsys, "recognize", '{"genus":1,"b":-1,"pairs":[[2,1],[6,4]]}')
+    assert code == 1
+    assert err.startswith("NotSL2Quotient:")
+    assert out == ""
+
+
 def test_enumerate_streams_tuples(capsys):
     code, out, _ = run(capsys, "enumerate", SIG_G1C3, "2")
     assert code == 0

@@ -97,9 +97,17 @@ def test_recognize_examples():
 
 
 def test_recognize_rejects_wrong_beta():
-    # (3, 2) solves the congruence for r = 1, but b = 1 then breaks relation 1
+    # e = -5/3 and chi = -8/3, so chi/e = 8/5 is not an integer: this is
+    # rejected before any covering relation is checked
     with pytest.raises(NotSL2Quotient):
         recognize_fibre_index(SeifertInvariants(2, 1, ((3, 2),)))
+
+
+def test_recognize_rejects_a_failed_fibre_relation():
+    # chi/e = (-4/3) / (-1/6) = 8 is a positive integer, but 8*1 - 2 + 1 is
+    # odd, so fibre (2, 1) fails r*beta = alpha - 1 + k*alpha
+    with pytest.raises(NotSL2Quotient, match=r"\(2, 1\)"):
+        recognize_fibre_index(SeifertInvariants(1, -1, ((2, 1), (6, 4))))
 
 
 def test_equivalence_of_admissibility_solver_and_search():
