@@ -15,9 +15,14 @@ of Z_r^{2g}, so it maps the distinct states of a frontier to distinct
 images: the images not yet marked in ``visited`` are new and distinct, and
 once marked, later moves find any repeats.  Each move has finite order, so
 its inverse is a positive power of it and the closure under the moves alone
-is the whole orbit.  A frontier is decoded into its 2g digit arrays once, in
-bounded chunks, and the label check reads them.  Memory is the 1 B/state
-``visited`` mask plus the widest level.
+is the whole orbit.  States are int32 if r^{2g} <= 2^31 and r (2r + 2) < 2^31
+(``_twist``'s unreduced values reach r (2r + 1)), else int64.  A level is the
+list of new-state arrays its chunks found; the next chunk joins consecutive
+ones, up to ``_CHUNK`` states, and is decoded into its 2g digit arrays once
+for the moves and the label check.  No level is copied whole.  Memory is the
+1 B/state ``visited`` mask, 4 B per state of two levels and one chunk's
+arrays: a traced peak of 10.3 B/state at (2, 21), 4.2 at (2, 31) and 1.6-2.1
+for the 2^24 states of (1, 4096), (2, 64), (3, 16) and (4, 8).
 
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
 J. Algorithms 1982) for small spaces, where the search above is mostly
@@ -177,6 +182,11 @@ def _image(states: np.ndarray, digits: list, r: int, w: list[int], move: _Move) 
     return image
 
 
+def _state_dtype(r: int, genus: int) -> str:
+    # int32 when every packed state and every unreduced _twist value (< r (2r + 1)) fits
+    return "int32" if r ** (2 * genus) <= 1 << 31 and r * (2 * r + 2) < 1 << 31 else "int64"
+
+
 def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Move, ...]):
     """Breadth-first search from ``seed``: yields each chunk of each level as
     (states, digits) and marks every state it reaches in ``visited``.
@@ -187,19 +197,23 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Mo
     import numpy as np
     w = _weights(r, genus)
     visited[seed] = True
-    frontier = np.array([seed], dtype=np.int64)
-    while frontier.size:
-        level = [frontier[:0]]
-        for start in range(0, frontier.size, _CHUNK):
-            states = frontier[start : start + _CHUNK]
+    level = [np.array([seed], dtype=_state_dtype(r, genus))]
+    while level:
+        parts, level = level[::-1], []
+        while parts:
+            batch, size = [], 0
+            while parts and size + parts[-1].size <= _CHUNK:
+                size += parts[-1].size
+                batch.append(parts.pop())
+            states = np.concatenate(batch)
             digits = _digits(states, r, 2 * genus)
             yield states, digits
             for move in moves:
                 image = _image(states, digits, r, w, move)
                 fresh = image[~visited[image]]
                 visited[fresh] = True
-                level.append(fresh)
-        frontier = np.concatenate(level)
+                if fresh.size:
+                    level.append(fresh)
 
 
 def orbit_of(

@@ -132,9 +132,9 @@ def _check_index(family: str, index: int, genus: int) -> None:
 
 def _twist(digits, r: int, family: str, i: int, m: int):
     """(slot, new value) for each entry of (s_1, t_1, ..., s_g, t_g), ints or
-    int64 digit arrays in [0, r), that a power m in [0, r) of twist i (0-based)
-    changes; unreduced mod r but never negative, as subtractions use r - m and
-    omega = s_i - s_{i+1} + 1 is shifted by r."""
+    int32 or int64 digit arrays in [0, r), that a power m in [0, r) of twist i
+    (0-based) changes; unreduced mod r (below r (2r + 1)) but never negative, as
+    subtractions use r - m and omega = s_i - s_{i+1} + 1 is shifted by r."""
     s, t = digits[2 * i], digits[2 * i + 1]
     if family == "U":  # t_i <- t_i - m s_i
         return ((2 * i + 1, t + (r - m) * s),)
@@ -146,7 +146,7 @@ def _twist(digits, r: int, family: str, i: int, m: int):
 
 
 def _parity(digits, genus: int):
-    """sum((s_i + 1)(t_i + 1)) mod 2 of non-negative ints or int64 digit arrays."""
+    """sum((s_i + 1)(t_i + 1)) mod 2 of non-negative ints or int32 or int64 digit arrays."""
     return sum((digits[2 * i] + 1) * (digits[2 * i + 1] + 1) for i in range(genus)) & 1
 
 

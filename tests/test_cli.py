@@ -210,6 +210,15 @@ def test_verify_small_grid(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("grid", ["g=1,n=1,alpha=4,r=4,r=5", "g=1,n=1,alpha=4,r=4,g=1"])
+def test_verify_rejects_a_repeated_grid_key(capsys, grid):
+    # the last value used to win silently
+    code, out, err = run(capsys, "verify", grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("UsageError: bad grid component")
+
+
 def test_only_verify_takes_a_seed(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["chi", SIG_G2, "--seed", "5"])

@@ -20,6 +20,7 @@ from orbispin import (
 )
 from helpers import (
     CENSUS_SIGNATURES,
+    _twist as tuple_twist,
     bfs_orbit,
     bfs_partition,
     context_for,
@@ -291,3 +292,68 @@ def test_even_order_closed_form_counts_theta_characteristics():
         for r in (2, 4, 6):
             lifts = (r // 2) ** (2 * genus)
             assert orbit_count_closed_form(genus, r) == (lifts * by_parity[0], lifts * by_parity[1])
+
+
+def test_state_dtype_boundaries():
+    # r^{2g} is an even power, so it never equals 2^31: (2, 215) and (3, 35)
+    # are the largest int32 spaces of their genus, 2^30 and 2^32 flank 2^31
+    assert 215**4 <= 2**31 < 216**4 and 35**6 <= 2**31 < 36**6
+    for genus, r, dtype in [(2, 215, "int32"), (2, 216, "int64"), (3, 35, "int32"), (3, 36, "int64"),
+                            (15, 2, "int32"), (16, 2, "int64")]:
+        assert orbits._state_dtype(r, genus) == dtype, (genus, r)
+    # the unreduced twist values need r (2r + 2) < 2^31, which fails first at r = 2^15
+    assert 32767 * (2 * 32767 + 2) < 2**31 <= 32768 * (2 * 32768 + 2)
+    for genus in (0, 1):
+        assert orbits._state_dtype(32767, genus) == "int32"
+        assert orbits._state_dtype(32768, genus) == "int64"
+
+
+@pytest.mark.parametrize("genus, r", [(1, 32767), (2, 215)])
+def test_int32_twists_do_not_overflow_at_the_bound(genus, r):
+    # every move on the extreme digits, as int32 arrays and as ints
+    rows = [0, r - 1] if genus == 1 else [0, 1, r - 1]
+    coords = list(product(rows, repeat=2 * genus))
+    states = np.array([sum(c * w for c, w in zip(row, orbits._weights(r, genus))) for row in coords], dtype="int32")
+    digits = orbits._digits(states, r, 2 * genus)
+    letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in (1, 2, r - 1)]
+    for move in orbits._moves([TwistGenerator(*p) for p in letters], r):
+        image = orbits._image(states, digits, r, orbits._weights(r, genus), move)
+        assert image.dtype == np.int32
+        expected = [tuple_twist(row, r, *move) for row in coords]
+        assert [tuple(d) for d in zip(*orbits._digits(image, r, 2 * genus))] == expected, move
+
+
+@pytest.mark.parametrize("powers", [(1,), (2, -3)])
+@pytest.mark.parametrize("genus, r", [(1, 97), (2, 5), (3, 3)])
+def test_int64_states_give_the_same_records(monkeypatch, genus, r, powers):
+    # otherwise int64 runs only above 2^31 states or at r >= 2^15, which no test reaches
+    letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
+    moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+
+    def search(dtype):
+        states, digits = next(orbits._levels(0, np.zeros(r ** (2 * genus), dtype=bool), r, genus, moves))
+        assert states.dtype == digits[0].dtype == dtype
+        return orbits._orbits_by_levels(r, genus, moves)
+
+    narrow = search(np.int32)
+    monkeypatch.setattr(orbits, "_state_dtype", lambda r, genus: "int64")
+    wide = search(np.int64)
+    assert wide == narrow
+    assert [(rec.representative.coords, rec.size) for rec in wide] == bfs_partition(r, genus, letters)
+
+
+def test_search_peak_memory_per_state():
+    # a 1 B/state visited mask, two levels of int32 states and one chunk's
+    # arrays: 10.3 B/state here, 19.5 with int64 states and whole-level copies
+    import tracemalloc
+
+    r, genus = 21, 2
+    moves = orbits._moves(standard_generators(genus), r)
+    orbits._orbits_by_levels(3, genus, moves)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        orbits._orbits_by_levels(r, genus, moves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * r ** (2 * genus)

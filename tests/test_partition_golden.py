@@ -1,0 +1,72 @@
+"""Golden orbit partitions: one digest per (g, r, generator set).
+
+For every (g, r) with r^{2g} <= 2^16 (genus 0 up to r = 64; 355 pairs), the
+sha256 of ``partition_orbits(...).to_json()``, serialised with sorted keys,
+is stored in ``partition_golden.json`` under the unit twists ("unit") and
+under the powers {2, -3} of every unit twist ("powers").  Both orbit
+engines are covered: 233 of the 710 partitions are large enough for the
+breadth-first search.  The file also stores the cone multiplicities of one
+signature admitting each order, so the test solves its contexts without a
+search; a partition reads only (g, r).  A change that alters a partition on
+purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_partition_golden.py
+
+and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from orbispin import OrbifoldSignature, TwistGenerator, partition_orbits, solve_raymond_vasquez, standard_generators
+from helpers import context_for
+
+GOLDEN = Path(__file__).with_name("partition_golden.json")
+
+PAIRS = [(g, r) for g in range(9) for r in range(1, 257) if r ** (2 * g) <= 1 << 16 and (g or r <= 64)]
+
+
+def generator_sets(genus):
+    unit = standard_generators(genus)
+    return {"unit": unit, "powers": [TwistGenerator(g.family, g.index, m) for g in unit for m in (2, -3)]}
+
+
+def digests(ctx):
+    out = {}
+    for name, gens in generator_sets(ctx.genus).items():
+        data = partition_orbits(ctx, generators=gens).to_json()
+        out[name] = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["pairs"]
+
+
+def test_golden_file_covers_exactly_the_pairs(golden):
+    assert len(PAIRS) == 355
+    assert list(golden) == [f"{g},{r}" for g, r in PAIRS]
+
+
+def test_partitions_match_golden(golden):
+    mismatched = []
+    for key, entry in golden.items():
+        g, r = map(int, key.split(","))
+        ctx = solve_raymond_vasquez(OrbifoldSignature(g, tuple(entry["cones"])), r)
+        if digests(ctx) != {name: entry[name] for name in ("unit", "powers")}:
+            mismatched.append(key)
+    assert not mismatched
+
+
+if __name__ == "__main__":
+    pairs = {}
+    for g, r in PAIRS:
+        ctx = context_for(g, r)
+        pairs[f"{g},{r}"] = {"cones": list(ctx.signature.cone_multiplicities), **digests(ctx)}
+    rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(entry)}" for key, entry in pairs.items())
+    command = json.dumps("PYTHONPATH=src python tests/test_partition_golden.py")
+    GOLDEN.write_text(f'{{\n "regenerate": {command},\n "pairs": {{\n{rows}\n }}\n}}\n', encoding="utf-8")
