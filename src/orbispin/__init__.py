@@ -11,6 +11,7 @@ component/sheet census of the moduli space of taut contact circles.
 from .errors import (
     CountOverflow,
     InadmissibleOrder,
+    MixedOrbit,
     NotHyperbolic,
     NotSL2Quotient,
     OddOrder,
@@ -73,6 +74,7 @@ __all__ = [
     "MODE_ORBIFOLD",
     "MODE_ROOT",
     "MODE_UNIT_TANGENT",
+    "MixedOrbit",
     "ModuliReport",
     "NotHyperbolic",
     "NotSL2Quotient",

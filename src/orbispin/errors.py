@@ -35,3 +35,7 @@ class CountOverflow(OrbispinError):
 class OddOrder(OrbispinError):
     """The Arf-type parity was requested for an odd covering order, where the
     mod-2 reduction is not well defined."""
+
+
+class MixedOrbit(RuntimeError):
+    """An orbit search found members of one orbit with different canonical forms."""

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable
 
+from .errors import MixedOrbit
 from .orbifold import divisors
 from .roots import DEFAULT_STATE_CAP, RootTuple, _check_state_count
 from .seifert import RootContext
@@ -241,7 +242,7 @@ def partition_orbits(
 
     Each orbit is labelled by the canonical form of its representative (the
     lexicographically least member), and the whole orbit is checked to share
-    that form; a mixed orbit would raise RuntimeError.
+    that form; a mixed orbit would raise MixedOrbit.
     """
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
@@ -269,7 +270,7 @@ def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
         for states, digits in _levels(seed, visited, r, genus, moves):
             size += states.size
             if invariant is not None and not np.all(invariant(digits) == label.invariant):
-                raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
+                raise MixedOrbit(f"the orbit of {rep.coords} mixes canonical forms")
         records.append(OrbitRecord(rep, size, label))
         seed += int(visited[seed:].argmin())  # the next unvisited state, if any
     return records
@@ -300,7 +301,7 @@ def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
         mixed = least[invariant(digits) != predicted[least]]
         if mixed.size:
             rep = heads[int(np.searchsorted(seeds, mixed.min()))][0]
-            raise RuntimeError(f"the orbit of {rep.coords} mixes canonical forms")
+            raise MixedOrbit(f"the orbit of {rep.coords} mixes canonical forms")
     sizes = np.bincount(least)[seeds].tolist()
     return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, sizes)]
 

@@ -25,6 +25,7 @@ are checked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,9 +141,14 @@ class RootContext:
 
     @classmethod
     def from_json(cls, data: Any) -> "RootContext":
+        if not isinstance(data, dict) or not {"signature", "r", "k", "euler_number"} <= set(data):
+            raise ValueError("context JSON must have the keys of RootContext.to_json")
         sig = OrbifoldSignature.from_json(data["signature"])
-        inv = SeifertInvariants(sig.genus, data["b"], tuple((p[0], p[1]) for p in data["pairs"]))
-        return cls(sig, data["r"], inv, tuple(data["k"]), Fraction(data["euler_number"]))
+        inv = SeifertInvariants.from_json({**data, "genus": sig.genus})
+        k, e = data["k"], data["euler_number"]
+        if not (type(k) is list and type(e) is str and re.fullmatch(r"-?\d+(/[1-9]\d*)?", e)):
+            raise ValueError('k must be a list of integers and euler_number a fraction like "-1/2"')
+        return cls(sig, data["r"], inv, tuple(k), Fraction(e))
 
 
 def _twist_integers(r: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

@@ -2,10 +2,11 @@
 
 ``run_suite`` walks the signature grid once and solves each (signature,
 order) pair once; the existence and round-trip rows read those contexts.
-It runs one ``moduli_report`` per distinct (g, r) that a census row covers:
-the report's comparison of the closed forms with the brute-force partition
-is the only such check, and the three census rows read its outcome.  The
-parity and witness rows test the twist layer on data of their own.
+It runs one ``moduli_report`` per distinct (g, r) that a row covers: the
+report's comparison of the closed forms with the brute-force partition is
+the only such check, and the three census rows read its outcome; the
+a-invariance row reads only the orbit search's check that no orbit mixes
+labels.  The witness row tests the twist layer on data of its own.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import gcd
 
-from .errors import InadmissibleOrder
+from .errors import InadmissibleOrder, MixedOrbit
 from .moduli import moduli_report
 from .orbifold import (
     OrbifoldSignature, _as_int, admissible_root_orders, is_hyperbolic, root_order_admissible,
 )
-from .orbits import _digits, standard_generators
+from .orbits import standard_generators
 from .roots import DEFAULT_STATE_CAP, RootTuple
 from .seifert import RootContext, recognize_fibre_index, solve_raymond_vasquez
-from .twists import _apply_inplace, _parity, apply_word, canonical_form, reduce_with_witness
+from .twists import apply_word, canonical_form, reduce_with_witness
 
 # the census covers only (g, r) with r^{2g} at most this and the state cap
 CENSUS_STATES = 1 << 16
@@ -112,27 +113,6 @@ def check_round_trip(solved: Solved, bounds: GridBounds) -> CheckResult:
     return CheckResult("round-trip", True, f"{count} solved contexts")
 
 
-def check_a_invariance() -> CheckResult:
-    """Exhaustive parity invariance for genus 2, 3 and orders 2, 4, on packed states."""
-    import numpy as np
-    checked = 0
-    for g in (2, 3):
-        gens = list(standard_generators(g))
-        gens += [gen.inverse() for gen in gens]
-        for r in (2, 4):
-            digits = _digits(np.arange(r ** (2 * g)), r, 2 * g)
-            parity = _parity(digits, g)
-            for gen in gens:
-                image = list(digits)
-                _apply_inplace(image, r, gen.family, gen.index, gen.power)
-                moved = np.flatnonzero(_parity(image, g) != parity)
-                checked += parity.size
-                if moved.size:
-                    coords = tuple(int(d[moved[0]]) for d in digits)
-                    return CheckResult("a-invariance", False, f"violated at {coords}, r={r}, {gen}")
-    return CheckResult("a-invariance", True, f"{checked} generator applications")
-
-
 def _covering(genus: int, r: int) -> RootContext:
     """An order-r covering over a genus >= 1 base: with cones prime to r, r
     divides alpha_1*...*alpha_n*chi iff sum(1/alpha_j - 1) = 2g - 2 mod r; a
@@ -142,29 +122,35 @@ def _covering(genus: int, r: int) -> RootContext:
 
 
 def check_censuses(solved: Solved, bounds: GridBounds, cap: int) -> Iterator[CheckResult]:
-    """The orbit-census (SMALL_CENSUS, genus 3 only if max_genus allows),
-    genus-1-census (r <= 24) and moduli-census (the grid) rows, from one
-    self-checked moduli report per distinct (g, r) they cover."""
+    """The a-invariance (genus 2 and 3 at r = 2, 4), orbit-census (SMALL_CENSUS,
+    genus 3 only if max_genus allows), genus-1-census (r <= 24) and
+    moduli-census (the grid) rows, from one self-checked moduli report per
+    distinct (g, r) they cover, each with r^{2g} <= cap.  The a-invariance
+    row fails on a mixed orbit alone, the census rows on any failed check."""
     grid = [c for c in solved.values() if c is not None and c.order ** (2 * c.genus) <= cap]
+    parity = [(g, r) for g in (2, 3) for r in (2, 4) if r ** (2 * g) <= cap]
     small = [
         (g, r) for g, r in SMALL_CENSUS
         if r <= bounds.max_order and g <= max(bounds.max_genus, 2) and r ** (2 * g) <= cap
     ]
     genus_one = [(1, r) for r in range(1, min(bounds.max_order, 24) + 1) if r * r <= cap]
+    census = (RuntimeError, ValueError)
     rows = [
-        ("orbit-census", small, f"checked {small}"),
-        ("genus-1-census", genus_one, f"orders 1..{len(genus_one)}"),
-        ("moduli-census", [(ctx.genus, ctx.order) for ctx in grid], f"{len(grid)} reports"),
+        ("a-invariance", parity, MixedOrbit, f"labels constant on every orbit of {parity}"),
+        ("orbit-census", small, census, f"checked {small}"),
+        ("genus-1-census", genus_one, census, f"orders 1..{len(genus_one)}"),
+        ("moduli-census", [(ctx.genus, ctx.order) for ctx in grid], census, f"{len(grid)} reports"),
     ]
     contexts = {(ctx.genus, ctx.order): ctx for ctx in reversed(grid)}  # the first of each
     failures = {}
-    for g, r in dict.fromkeys(key for _, keys, _ in rows for key in keys):
-        try:  # the report checks its sheet total (ValueError) and partition (RuntimeError)
+    for g, r in dict.fromkeys(key for _, keys, _, _ in rows for key in keys):
+        try:  # the sheet total (ValueError), the partition (RuntimeError), its labels (MixedOrbit)
             moduli_report(contexts.get((g, r)) or _covering(g, r), state_cap=cap)
-        except (RuntimeError, ValueError) as err:
-            failures[g, r] = f"(g={g}, r={r}): {err}"
-    for name, keys, detail in rows:
-        failed = [failures[key] for key in keys if key in failures]
+        except census as err:
+            failures[g, r] = err
+    for name, keys, caught, detail in rows:
+        failed = [f"(g={g}, r={r}): {failures[g, r]}" for g, r in keys
+                  if isinstance(failures.get((g, r)), caught)]
         yield CheckResult(name, not failed, failed[0] if failed else detail)
 
 
@@ -198,8 +184,8 @@ def run_suite(
     bounds = bounds or GridBounds()
     cap = min(state_cap, CENSUS_STATES)
     solved = _solve_grid(bounds, cap)
-    orbit_census, genus_one, moduli = check_censuses(solved, bounds, cap)
+    a_invariance, orbit_census, genus_one, moduli = check_censuses(solved, bounds, cap)
     return [
-        check_existence(solved, bounds), check_round_trip(solved, bounds), check_a_invariance(),
+        check_existence(solved, bounds), check_round_trip(solved, bounds), a_invariance,
         orbit_census, genus_one, check_witnesses(bounds, seed), moduli,
     ]

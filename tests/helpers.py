@@ -129,11 +129,13 @@ def bfs_partition(r, genus, generators):
 
 def context_for(genus, r):
     """Some solved context of genus ``genus`` at order r, searching up to
-    three cone points of multiplicity at most 2r + 3."""
+    three cone points of multiplicity at most 2r + 3.  Only multiplicities
+    prime to r can admit order r, so the others are skipped."""
     from orbispin import root_order_admissible, solve_raymond_vasquez
 
+    coprime = [a for a in range(2, 2 * r + 4) if gcd(a, r) == 1]
     for n in range(4):
-        for alphas in combinations_with_replacement(range(2, 2 * r + 4), n):
+        for alphas in combinations_with_replacement(coprime, n):
             sig = OrbifoldSignature(genus, alphas)
             if is_hyperbolic(sig) and root_order_admissible(sig, r):
                 return solve_raymond_vasquez(sig, r)

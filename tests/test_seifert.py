@@ -184,6 +184,27 @@ def test_context_loader_refuses_non_integers():
         RootContext(ctx.signature, 2.0, ctx.invariants, ctx.twist_integers, ctx.euler_number)
 
 
+_CONTEXT = solve_raymond_vasquez(OrbifoldSignature(2), 2).to_json()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**_CONTEXT, "euler_number": -1.0},  # the right value, but a float
+        {**_CONTEXT, "euler_number": "1/0"},
+        {**_CONTEXT, "k": 0},
+        {**_CONTEXT, "pairs": "ab"},
+        {key: value for key, value in _CONTEXT.items() if key != "b"},
+        {key: value for key, value in _CONTEXT.items() if key != "r"},
+        list(_CONTEXT.items()),
+    ],
+    ids=["float-euler", "zero-denominator", "int-k", "string-pairs", "no-b", "no-r", "non-dict"],
+)
+def test_context_loader_refuses_malformed_json(data):
+    with pytest.raises(ValueError):
+        RootContext.from_json(data)
+
+
 def test_chi_and_euler_number_equal_term_by_term_sums():
     for sig in hyperbolic_grid():
         assert chi_orb(sig) == chi_by_fraction_sum(sig)

@@ -108,16 +108,6 @@ def test_a_invariant_values():
         a_invariant(RootTuple(3, (0, 0)))
 
 
-def test_a_invariance_under_twists_exhaustive_g2():
-    for r in (2, 4):
-        gens = _all_unit_generators(2)
-        for coords in product(range(r), repeat=4):
-            root = RootTuple(r, coords)
-            parity = a_invariant(root)
-            for gen in gens:
-                assert a_invariant(apply_generator(root, gen)) == parity
-
-
 @pytest.mark.parametrize(
     "r,coords,kind,d",
     [

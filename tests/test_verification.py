@@ -16,12 +16,14 @@ ROWS = (
     "genus-1-census", "witness-replay", "moduli-census",
 )
 
-# the (g, r) the census rows must keep covering on the default grid: genus 2
-# at small r, genus 1 up to r = 24, and the grid contexts with r^{2g} <= 2^16
-# (genus-1 signatures with two cones reach r = 31 and 49)
+# the (g, r) the census and a-invariance rows must keep covering on the
+# default grid: genus 2 at small r, genus 3 at r = 2 and 4, genus 1 up to
+# r = 24, and the grid contexts with r^{2g} <= 2^16 (genus-1 signatures with
+# two cones reach r = 31 and 49)
 DEFAULT_COVERAGE = (
     {(1, r) for r in [*range(1, 25), 31, 49]}
     | {(2, r) for r in [*range(1, 12), 13, 14]}
+    | {(3, 2), (3, 4)}
 )
 
 
@@ -45,7 +47,7 @@ def test_default_grid_partitions_each_gr_once(monkeypatch):
     assert [res.name for res in results] == list(ROWS)
     assert all(res.passed for res in results), results
     assert max(calls.values()) == 1
-    assert sum(calls.values()) == 39
+    assert sum(calls.values()) == 41
     assert set(calls) >= DEFAULT_COVERAGE
 
 
@@ -55,6 +57,7 @@ def test_census_rows_honour_the_cap(monkeypatch):
     assert calls and all(r ** (2 * g) <= 100 for g, r in calls)
     assert results["genus-1-census"].detail == "orders 1..10"
     assert results["orbit-census"].detail == "checked [(2, 2), (2, 3)]"
+    assert results["a-invariance"].detail == "labels constant on every orbit of [(2, 2), (3, 2)]"
 
 
 def _verify_rows(capsys, grid):
@@ -129,7 +132,7 @@ def test_the_one_twist_formula_feeds_every_consumer(monkeypatch):
     results = {res.name: res for res in run_suite(GridBounds(max_genus=0, max_order=1))}
     assert [name for name, res in results.items() if not res.passed] == ["a-invariance"]
     assert re.fullmatch(
-        r"violated at \(\d+(, \d+){3,5}\), r=[24], TwistGenerator\(family='U', .*\)",
+        r"\(g=[23], r=[24]\): the orbit of \(\d+(, \d+){3,5}\) mixes canonical forms",
         results["a-invariance"].detail,
     )
     u1 = TwistGenerator("U", 1)
