@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import CountOverflow, OrbispinError
 from .moduli import moduli_report
@@ -53,13 +53,6 @@ def _parse_signature(arg: str) -> OrbifoldSignature:
     return OrbifoldSignature.from_json(json.loads(_load_text(arg)))
 
 
-def _parse_order(arg: str) -> int:
-    r = int(arg)
-    if r < 1:
-        raise ValueError(f"covering order must be positive, got {r}")
-    return r
-
-
 def _parse_root(arg: str, ctx: RootContext) -> RootTuple:
     text = _load_text(arg).strip()
     coords = () if text in ("", "-") else tuple(int(p) for p in text.split(","))
@@ -83,7 +76,7 @@ def _emit(args: argparse.Namespace, payload: Any, text: str) -> None:
 
 def _context(args: argparse.Namespace) -> RootContext:
     sig = _parse_signature(args.signature)
-    return solve_raymond_vasquez(sig, _parse_order(args.order))
+    return solve_raymond_vasquez(sig, int(args.order))
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
@@ -213,8 +206,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors reach ``main`` as ValueError: one UsageError line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
         "--cap",
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbispin",
         description="Roots of unit tangent bundles of hyperbolic 2-orbifolds: "
         "existence, enumeration, canonical forms, and the moduli census.",
@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.cap is None:
             args.cap = int(os.environ.get("ORBISPIN_STATE_CAP", DEFAULT_STATE_CAP))
         if args.cap < 1:

@@ -92,6 +92,7 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
 
     When g >= 1 and r^{2g} does not exceed ``state_cap`` the census is checked
     against the brute-force orbit partition; a mismatch raises RuntimeError.
+    ``state_cap=None`` gives the closed form alone, with no self-check.
     """
     r, g = ctx.order, ctx.genus
     total = r ** (2 * g)

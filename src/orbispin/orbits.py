@@ -242,7 +242,8 @@ def partition_orbits(
 
     Each orbit is labelled by the canonical form of its representative (the
     lexicographically least member), and the whole orbit is checked to share
-    that form; a mixed orbit would raise MixedOrbit.
+    that form; a mixed orbit would raise MixedOrbit.  CountOverflow when
+    r^{2g} exceeds ``cap``; ``cap=None`` means no cap.
     """
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)

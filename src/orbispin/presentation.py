@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .roots import RootTuple
-from .seifert import RootContext
+from .roots import RootTuple, determined_values
+from .seifert import RootContext, unit_tangent_bundle
 
 MODE_ORBIFOLD = "orbifold"
 MODE_UNIT_TANGENT = "unit_tangent"
@@ -143,9 +143,7 @@ def root_group_presentation(
 
     names.append("h")
     if mode == MODE_UNIT_TANGENT:
-        gens = [PresentationGenerator(nm) for nm in names]
-        # the order-1 covering: b = 2g - 2 and beta_j = alpha_j - 1
-        b, fibres = 2 * g - 2, tuple((a, a - 1) for a in alphas)
+        covering, shifts = unit_tangent_bundle(sig), [None] * len(names)
     else:
         if root is None:
             raise ValueError("a root tuple is required for the covering-group presentation")
@@ -155,9 +153,9 @@ def root_group_presentation(
                 f"context of order {ctx.order}, genus {g}"
             )
         # s_1, t_1, ..., s_g, t_g decorate u_1, v_1, ..., u_g, v_g in order
-        shifts = [*root.coords, *(k % ctx.order for k in ctx.twist_integers), ctx.order]
-        gens = [PresentationGenerator(nm, shift) for nm, shift in zip(names, shifts)]
-        b, fibres = ctx.invariants.obstruction, ctx.invariants.multiple_fibres
+        covering, shifts = ctx, [*root.coords, *determined_values(ctx)[1], ctx.order]
+    gens = [PresentationGenerator(nm, shift) for nm, shift in zip(names, shifts)]
+    b, fibres = covering.invariants.obstruction, covering.invariants.multiple_fibres
     rels = [PresentationRelation(surface, (("h", b),) if b else ())]
     rels += [
         PresentationRelation(((q, a), ("h", beta)))

@@ -13,20 +13,19 @@ where each beta_j is normalised into [1, alpha_j - 1].  The Euler number
 e = -(b + sum_j beta_j/alpha_j) of the covering then satisfies r*e = chi
 exactly.
 
-``solve_raymond_vasquez`` produces this data for an admissible order:
-coprimality of r and alpha_j makes beta_j the unique solution of
-r*beta_j = alpha_j - 1 (mod alpha_j) in the normalised range, and the
-relations then force k_j and b.  ``recognize_fibre_index`` inverts the
-process, recovering r from given normalised invariants or rejecting them.
-Both derive each k_j by one floor division (``_twist_integers``) and leave
-every relation to ``RootContext``, whose construction is the one place they
-are checked.
+A covering datum is therefore its signature and an admissible order r
+alone: a :class:`RootContext` is built from (signature, r), derives
+beta_j = -r^{-1} mod alpha_j, the k_j, b and e once, and checks them by
+r*e = chi.  ``recognize_fibre_index`` inverts the process: it checks each
+fibre relation of given invariants at the recovered r, then builds the
+context.  ``RootContext.from_json`` refuses data that differs from the
+derived data.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -89,41 +88,31 @@ class SeifertInvariants:
 
 @dataclass(frozen=True)
 class RootContext:
-    """A validated covering datum: signature, order, solved Seifert data.
-
-    Construction re-checks the covering relations and the exact identity
-    r*e = chi, so an inconsistent context cannot exist.
-    """
+    """A covering datum: a signature and an admissible order r (else
+    InadmissibleOrder).  The Seifert invariants, the twist integers k_j and
+    the Euler number are derived from the two once, on construction, and
+    take no part in equality or hashing."""
 
     signature: OrbifoldSignature
     order: int
-    invariants: SeifertInvariants
-    twist_integers: tuple[int, ...]
-    euler_number: Fraction
+    invariants: SeifertInvariants = field(init=False, compare=False)
+    twist_integers: tuple[int, ...] = field(init=False, compare=False)
+    euler_number: Fraction = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", _as_int(self.order, "order", 1))
-        object.__setattr__(
-            self, "twist_integers", tuple(_as_int(k, "twist integer") for k in self.twist_integers)
-        )
-        sig, r, inv = self.signature, self.order, self.invariants
-        if inv.genus != sig.genus:
-            raise ValueError("invariants and signature disagree on genus")
-        alphas = tuple(a for a, _ in inv.multiple_fibres)
-        if alphas != sig.cone_multiplicities:
-            raise ValueError("invariants and signature disagree on multiplicities")
-        ks = self.twist_integers
-        if len(ks) != len(alphas):
-            raise ValueError("one twist integer per cone point is required")
-        for (a, beta), k in zip(inv.multiple_fibres, ks):
-            if r * beta != a - 1 + k * a:
-                raise ValueError(f"covering relation fails at fibre ({a}, {beta})")
-        if r * inv.obstruction != 2 * sig.genus - 2 - sum(ks):
-            raise ValueError("long covering relation r*b = 2g-2 - sum(k_j) fails")
-        if self.euler_number != inv.euler_number():
-            raise ValueError("stored Euler number disagrees with the invariants")
-        if r * self.euler_number != chi_orb(sig):
-            raise ValueError("identity r*e = chi fails")
+        sig, r = self.signature, _as_int(self.order, "order", 1)
+        if not root_order_admissible(sig, r):
+            raise InadmissibleOrder(f"order {r} is not admissible for signature {sig.to_json()}")
+        # beta_j is the unique solution in [1, alpha_j - 1] of r*beta_j = -1
+        # (mod alpha_j), so each k_j below is an exact quotient
+        pairs = tuple((a, -pow(r, -1, a) % a) for a in sig.cone_multiplicities)
+        ks = tuple((r * beta - a + 1) // a for a, beta in pairs)
+        inv = SeifertInvariants(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
+        e = inv.euler_number()
+        if r * e != chi_orb(sig):  # given the fibre relations, the same as r*b = 2g-2 - sum(k_j)
+            raise RuntimeError(f"identity r*e = chi fails for {sig.to_json()} at r = {r}")
+        for name, value in {"order": r, "invariants": inv, "twist_integers": ks, "euler_number": e}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def genus(self) -> int:
@@ -141,54 +130,39 @@ class RootContext:
 
     @classmethod
     def from_json(cls, data: Any) -> "RootContext":
-        if not isinstance(data, dict) or not {"signature", "r", "k", "euler_number"} <= set(data):
+        """The context of data's signature and r; ValueError unless b, pairs,
+        k and euler_number are exactly, types included, what to_json writes."""
+        keys = ("b", "pairs", "k", "euler_number")
+        if not isinstance(data, dict) or not {"signature", "r", *keys} <= set(data):
             raise ValueError("context JSON must have the keys of RootContext.to_json")
-        sig = OrbifoldSignature.from_json(data["signature"])
-        inv = SeifertInvariants.from_json({**data, "genus": sig.genus})
-        k, e = data["k"], data["euler_number"]
-        if not (type(k) is list and type(e) is str and re.fullmatch(r"-?\d+(/[1-9]\d*)?", e)):
-            raise ValueError('k must be a list of integers and euler_number a fraction like "-1/2"')
-        return cls(sig, data["r"], inv, tuple(k), Fraction(e))
-
-
-def _twist_integers(r: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """k_j = (r*beta_j - alpha_j + 1) / alpha_j, rounded down: exact exactly
-    when fibre j satisfies its covering relation, which RootContext checks."""
-    return tuple((r * beta - a + 1) // a for a, beta in pairs)
+        ctx = cls(OrbifoldSignature.from_json(data["signature"]), data["r"])
+        derived = ctx.to_json()
+        # json.dumps tells 1.0 from 1 and True from 1, where == does not
+        wrong = [key for key in keys if json.dumps(data[key], default=repr) != json.dumps(derived[key])]
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} disagree with the covering data solved at r = {ctx.order}")
+        return ctx
 
 
 def solve_raymond_vasquez(sig: OrbifoldSignature, r: int) -> RootContext:
-    """Solve the covering relations for an admissible order r.
-
-    beta_j is the unique integer in [1, alpha_j - 1] with
-    r*beta_j = alpha_j - 1 (mod alpha_j), i.e. beta_j = -r^{-1} mod alpha_j;
-    k_j and b follow by division, which admissibility makes exact and
-    RootContext re-checks.
-    """
-    if not root_order_admissible(sig, r):
-        raise InadmissibleOrder(
-            f"order {r} is not admissible for signature {sig.to_json()}"
-        )
-    r = int(r)
-    pairs = tuple((a, (-pow(r, -1, a)) % a) for a in sig.cone_multiplicities)
-    ks = _twist_integers(r, pairs)
-    inv = SeifertInvariants(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
-    return RootContext(sig, r, inv, ks, inv.euler_number())
+    """The covering datum of order r over ``sig``; InadmissibleOrder unless
+    r is admissible."""
+    return RootContext(sig, r)
 
 
 def unit_tangent_bundle(sig: OrbifoldSignature) -> RootContext:
     """The order-1 covering datum: b = 2g-2 and pairs (alpha_j, alpha_j - 1)."""
-    return solve_raymond_vasquez(sig, 1)
+    return RootContext(sig, 1)
 
 
 def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     """Recover the fibre index r from normalised Seifert invariants.
 
     Requires a hyperbolic base.  Computes e = -(b + sum beta/alpha), demands
-    e < 0 and r = chi/e a positive integer, then derives every k_j and
-    builds the context, whose construction checks the covering relations
-    (each fibre's, then the long one).  Any failure raises
-    :class:`NotSL2Quotient`.
+    e < 0, r = chi/e a positive integer and each fibre relation
+    r*beta_j = alpha_j - 1 + k_j*alpha_j for an integer k_j; these make the
+    given invariants those of RootContext(signature, r), which is returned.
+    Any failure raises :class:`NotSL2Quotient`.
     """
     sig = inv.base_signature()
     assert_hyperbolic(sig)
@@ -199,7 +173,9 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     if ratio.denominator != 1 or ratio <= 0:
         raise NotSL2Quotient(f"chi/e = {ratio} is not a positive integer")
     r = int(ratio)
-    try:
-        return RootContext(sig, r, inv, _twist_integers(r, inv.multiple_fibres), e)
-    except ValueError as err:
-        raise NotSL2Quotient(f"{err} for the recovered fibre index r = {r}") from err
+    for a, beta in inv.multiple_fibres:
+        if (r * beta - a + 1) % a:
+            raise NotSL2Quotient(
+                f"covering relation fails at fibre ({a}, {beta}) for the recovered fibre index r = {r}"
+            )
+    return RootContext(sig, r)

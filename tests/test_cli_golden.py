@@ -1,11 +1,13 @@
-"""Golden CLI outputs: exit code, stdout digest and error type per call.
+"""Golden CLI outputs: exit code, stdout digest and stderr per call.
 
 Each call runs ``orbispin.cli.main`` in process and is compared with the
 record stored in ``cli_golden.json``: the exit code, the sha256 of stdout,
-and the text of stderr before its first colon (the error type, or "" when
-stderr is empty).  The calls cover every subcommand in text and --json and
-the exit 1, 2 and 3 paths, so any change to what the CLI prints shows up
-here.  A change that alters the output on purpose regenerates the file with
+the text of stderr before its first colon (the error type, or "" when
+stderr is empty) and the sha256 of the whole of stderr.  The calls cover
+every subcommand in text and --json, the exit 1, 2 and 3 paths, argparse's
+own errors, and the benchmark's ``cli`` script for three seeds, so any
+change to what the CLI prints shows up here.  A change that alters the
+output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ import pytest
 from orbispin.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SIG_237 = '{"genus":0,"cone_points":[2,3,7]}'
 SIG_G1C3 = '{"genus":1,"cone_points":[3]}'
@@ -67,7 +71,30 @@ CALLS = {
     "verify": ["verify", "g=1,n=1,alpha=4,r=4"],
     "verify-json": ["verify", "g=1,n=1,alpha=4,r=4", "--json"],
     "verify-bad-grid": ["verify", "g=1,x=2"],
+    "verify-wide": ["verify", "g=2,n=2,alpha=6,r=24"],
+    "verify-wide-json": ["verify", "g=2,n=2,alpha=6,r=24", "--json"],
+    "solve-zero-order": ["solve", SIG_G1C3, "0"],
+    "chi-missing-argument": ["chi"],
+    "unknown-command": ["bogus"],
+    "cap-not-an-integer": ["orbits", SIG_G2, "2", "--cap", "1e3"],
 }
+
+
+def _benchmark_calls(seeds=(1, 7, 12)) -> dict[str, list[str]]:
+    """The argv of every call in the benchmark's ``cli`` script for ``seeds``."""
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports its sibling oracles
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {
+        f"cli-seed{seed}-{i:02d}-{item.subcommand}": item.argv
+        for seed in seeds
+        for i, item in enumerate(workloads.cli_setup(seed))
+    }
+
+
+CALLS.update(_benchmark_calls())
 
 
 def record(argv: list[str]) -> dict:
@@ -78,6 +105,7 @@ def record(argv: list[str]) -> dict:
         "exit": code,
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr_type": err.getvalue().split(":", 1)[0],
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
     }
 
 

@@ -127,7 +127,8 @@ def test_round_trip_recognition_on_grid():
     for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=6):
         for r in admissible_root_orders(sig):
             ctx = solve_raymond_vasquez(sig, r)
-            assert recognize_fibre_index(ctx.invariants) == ctx
+            back = recognize_fibre_index(ctx.invariants)
+            assert back == ctx and back.invariants == ctx.invariants
 
 
 def test_equal_multiplicities_share_beta_and_k():
@@ -156,13 +157,28 @@ def test_invariants_validation():
     assert SeifertInvariants.from_json(inv.to_json()) == inv
 
 
-def test_context_construction_rejects_inconsistent_data():
-    sig = OrbifoldSignature(1, (3,))
-    good = solve_raymond_vasquez(sig, 2)
+def test_context_refuses_an_inadmissible_order():
+    with pytest.raises(InadmissibleOrder):
+        RootContext(OrbifoldSignature(1, (3,)), 5)
+
+
+_SOLVED = solve_raymond_vasquez(OrbifoldSignature(1, (3,)), 2).to_json()  # b 0, pairs [[3, 1]], k [0], e -1/3
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**_SOLVED, "b": 1},
+        {**_SOLVED, "pairs": [[3, 2]]},
+        {**_SOLVED, "k": [1]},
+        {**_SOLVED, "k": [1.0]},
+        {**_SOLVED, "euler_number": "-1/2"},
+    ],
+    ids=["wrong-b", "wrong-beta", "wrong-k", "float-k", "wrong-euler"],
+)
+def test_context_loader_refuses_data_the_relations_do_not_give(data):
     with pytest.raises(ValueError):
-        RootContext(sig, 2, good.invariants, (1,), good.euler_number)
-    with pytest.raises(ValueError):
-        RootContext(sig, 2, good.invariants, good.twist_integers, Fraction(-1, 2))
+        RootContext.from_json(data)
 
 
 def test_context_json_round_trip():
@@ -181,7 +197,7 @@ def test_context_loader_refuses_non_integers():
     with pytest.raises(ValueError):
         RootContext.from_json({**ctx.to_json(), "k": [float(k)]})
     with pytest.raises(ValueError):
-        RootContext(ctx.signature, 2.0, ctx.invariants, ctx.twist_integers, ctx.euler_number)
+        RootContext(ctx.signature, 2.0)
 
 
 _CONTEXT = solve_raymond_vasquez(OrbifoldSignature(2), 2).to_json()
