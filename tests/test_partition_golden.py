@@ -1,13 +1,14 @@
 """Golden orbit partitions: one digest per (g, r, generator set).
 
-For every (g, r) with r^{2g} <= 2^16 (genus 0 up to r = 64; 355 pairs), the
+For every (g, r) with r^{2g} <= 2^16 (genus 0 up to r = 64; 355 pairs), and
+for the five genus >= 2 spaces of the benchmark's ``orbits`` workload
+((2, 18), (2, 21), (2, 31), (3, 7), (3, 8): 1.0e5 to 9.2e5 states), the
 sha256 of ``partition_orbits(...).to_json()``, serialised with sorted keys,
 is stored in ``partition_golden.json`` under the unit twists ("unit") and
-under the powers {2, -3} of every unit twist ("powers").  Both orbit
-engines are covered: 233 of the 710 partitions are large enough for the
-breadth-first search.  The file also stores the cone multiplicities of one
-signature admitting each order, so the test solves its contexts without a
-search; a partition reads only (g, r).  A change that alters a partition on
+under the powers {2, -3} of every unit twist ("powers").  The file also
+stores the cone multiplicities of one signature admitting each order, so
+the test solves its contexts without a search; a partition reads only
+(g, r).  A change that alters a partition on
 purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_partition_golden.py
@@ -27,6 +28,7 @@ from helpers import context_for
 GOLDEN = Path(__file__).with_name("partition_golden.json")
 
 PAIRS = [(g, r) for g in range(9) for r in range(1, 257) if r ** (2 * g) <= 1 << 16 and (g or r <= 64)]
+WORKLOAD_PAIRS = [(2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
 
 
 def generator_sets(genus):
@@ -49,7 +51,7 @@ def golden() -> dict:
 
 def test_golden_file_covers_exactly_the_pairs(golden):
     assert len(PAIRS) == 355
-    assert list(golden) == [f"{g},{r}" for g, r in PAIRS]
+    assert list(golden) == [f"{g},{r}" for g, r in PAIRS + WORKLOAD_PAIRS]
 
 
 def test_partitions_match_golden(golden):
@@ -64,7 +66,7 @@ def test_partitions_match_golden(golden):
 
 if __name__ == "__main__":
     pairs = {}
-    for g, r in PAIRS:
+    for g, r in PAIRS + WORKLOAD_PAIRS:
         ctx = context_for(g, r)
         pairs[f"{g},{r}"] = {"cones": list(ctx.signature.cone_multiplicities), **digests(ctx)}
     rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(entry)}" for key, entry in pairs.items())
