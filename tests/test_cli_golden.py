@@ -77,6 +77,11 @@ CALLS = {
     "chi-missing-argument": ["chi"],
     "unknown-command": ["bogus"],
     "cap-not-an-integer": ["orbits", SIG_G2, "2", "--cap", "1e3"],
+    "chi-unknown-key": ["chi", '{"genus":2,"cone_points":[3],"extra":1}'],
+    "twist-unknown-letter-key": ["twist", SIG_G2C3, "4", "1,2,3,0", '[{"family":"U","index":1,"power":2,"x":0}]'],
+    "recognize-unknown-key": ["recognize", '{"genus":2,"b":0,"pairs":[[3,2]],"junk":1}'],
+    "enumerate-genus-zero": ["enumerate", SIG_237, "1"],
+    "enumerate-genus-zero-json": ["enumerate", SIG_237, "1", "--json"],
 }
 
 
