@@ -38,6 +38,18 @@ def _as_int(value: Any, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _json_object(data: Any, shape: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``data`` as a JSON object with every key of ``keys`` and none outside
+    ``keys`` and ``optional``; else ValueError, with the message ``shape``
+    and the names of any unknown keys."""
+    if not isinstance(data, dict) or not set(keys) <= set(data):
+        raise ValueError(shape)
+    unknown = sorted(set(data) - set(keys) - set(optional), key=repr)
+    if unknown:
+        raise ValueError(f"{shape}; unknown keys: {', '.join(map(repr, unknown))}")
+    return data
+
+
 @dataclass(frozen=True)
 class OrbifoldSignature:
     """Genus plus cone-point multiplicities of a closed orientable 2-orbifold.
@@ -70,8 +82,7 @@ class OrbifoldSignature:
 
     @classmethod
     def from_json(cls, data: Any) -> "OrbifoldSignature":
-        if not isinstance(data, dict) or "genus" not in data or "cone_points" not in data:
-            raise ValueError('signature JSON must be {"genus": g, "cone_points": [...]}')
+        _json_object(data, 'signature JSON must be {"genus": g, "cone_points": [...]}', ("genus", "cone_points"))
         cones = data["cone_points"]
         if not isinstance(cones, (list, tuple)):
             raise ValueError("cone_points must be a list of integers >= 2")

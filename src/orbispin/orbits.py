@@ -7,22 +7,23 @@ represented by its lexicographically least member, and orbits are listed in
 ascending order of it.  A move is one generator power reduced mod r; its
 packed images are built from the decoded digits by ``twists._twist``.
 
-Two engines partition the space and give identical records.
+Three engines partition the space and give identical records.
 
-Breadth-first search (``_levels``), one orbit at a time, for large spaces.
-It needs neither a sort nor the inverse twists.  Each move is a bijection
-of Z_r^{2g}, so it maps the distinct states of a frontier to distinct
-images: the images not yet marked in ``visited`` are new and distinct, and
-once marked, later moves find any repeats.  Each move has finite order, so
-its inverse is a positive power of it and the closure under the moves alone
-is the whole orbit.  States are int32 if r^{2g} <= 2^31 and r (2r + 2) < 2^31
-(``_twist``'s unreduced values reach r (2r + 1)), else int64.  A level is the
-list of new-state arrays its chunks found; the next chunk joins consecutive
-ones, up to ``_CHUNK`` states, and is decoded into its 2g digit arrays once
-for the moves and the label check.  No level is copied whole.  Memory is the
-1 B/state ``visited`` mask, 4 B per state of two levels and one chunk's
-arrays: a traced peak of 10.3 B/state at (2, 21), 4.2 at (2, 31) and 1.6-2.1
-for the 2^24 states of (1, 4096), (2, 64), (3, 16) and (4, 8).
+Breadth-first search (``_levels``), one orbit at a time, for genus 1 above
+the tables' bound and for ``orbit_of``.  It needs neither a sort nor the
+inverse twists.  Each move is a bijection of Z_r^{2g}, so it maps the
+distinct states of a frontier to distinct images: the images not yet marked
+in ``visited`` are new and distinct, and once marked, later moves find any
+repeats.  Each move has finite order, so its inverse is a positive power of
+it and the closure under the moves alone is the whole orbit.  States are
+int32 if r^{2g} <= 2^31 and r (2r + 2) < 2^31 (``_twist``'s unreduced values
+reach r (2r + 1)), else int64.  A level is the list of new-state arrays its
+chunks found; the next chunk joins consecutive ones, up to ``_CHUNK``
+states, and is decoded into its 2g digit arrays once for the moves and the
+label check.  No level is copied whole.  Memory is the 1 B/state ``visited``
+mask, 4 B per state of two levels and one chunk's arrays: a traced peak of
+10.3 B/state at (2, 21), 4.2 at (2, 31) and 1.6-2.1 for the 2^24 states of
+(1, 4096), (2, 64), (3, 16) and (4, 8).
 
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
 J. Algorithms 1982) for small spaces, where the search above is mostly
@@ -37,19 +38,62 @@ the fixed point label[x] <= label[m(x)] for every move m, and a move
 permutes each of its finite cycles, so the label is constant on every
 cycle and hence on every orbit; being at most every member and itself a
 member, it is the orbit's least member.  The representatives are then the
-states that label themselves, already in ascending order.
+states that label themselves, already in ascending order.  The same
+propagation also runs along edges pulled both ways, lowering both ends to
+the lesser label; at its fixed point the ends of every edge agree, so by
+the same argument each label is the least member of its component.
+
+Handle by handle (``_orbits_by_handles``) for genus >= 2 above the tables'
+bound.  The generators are local: U_h and V_h move only the pair (s_h, t_h),
+and W_h only the handles h and h + 1.  An orbit is a component of the
+Schreier graph of the moves (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, 4.1), so it can be found from coarser
+pieces:
+
+1. The U/V moves of a handle act on its Z_r^2 alone, so they generate a
+   product of per-handle groups, whose orbits (product classes) are the
+   products of per-handle classes.  Those come from the tables'
+   propagation on Z_r^2, once per distinct handle move set in a call.
+2. An orbit is a union of product classes, and W_h joins two of them when
+   it maps a member of one into the other.  Such an edge changes only the
+   classes of handles h and h + 1, whatever the others are, so W_h is
+   applied by ``_twist`` to every state of Z_r^4 only, in blocks of at most
+   ``_CHUNK`` states.  The class pairs it joins are merged by propagation
+   along the edges that cross their current labels, block by block.  The
+   orbits are the join of these partitions, each tensored with the
+   identity on the other handles: propagation over the product classes.
+3. Product classes are packed in mixed radix of their handles' class ids,
+   and class ids are ranked by least member, so index order is the
+   lexicographic order of least members.  A product class's least member
+   is the tuple of its handles' least pairs and its size the product of
+   their sizes; an orbit's representative is the least member of its
+   least class, and its size is the sum of its classes' sizes.
+4. The label check reads every one of the r^{2g} states, a block of at most
+   ``_CHUNK`` at a time, and names the least representative among the
+   orbits that hold a mismatch, as the tables do.
+
+When the product classes outnumber ``_TABLE_CELLS`` (W alone leaves every
+pair its own class), the search runs instead.  Memory is the per-handle
+arrays of r^2 entries, at most 2^16 product classes and one block: a traced
+peak of about 1 MB at (2, 31), (2, 32) and (3, 8), and 1.6 MB for the 2^24
+states of (2, 64) and (3, 16).
 
 ``partition_orbits`` chooses the tables when states x distinct moves is at
-most ``_TABLE_CELLS`` = 2^16, so its tables take at most 512 KB.  In a
-sweep of both engines (``BENCH_10.json``, 2-core box) the tables won by
-2.1-9.8x up to 4,096 states and by 2.0x at (2, 10) (50,000 cells); the
-search won at (2, 11) (73,205 cells) by 1.1x and at (2, 31) by 3.6x.  From
-about 2^15 to 2^16 cells the winner at genus 1 follows the orbit count, not
-the size: the search was 1.3-2.1x faster at prime r (two orbits), the
-tables 1.8-2.6x faster at r = 144, 150, 160, 180.  The tables take 1,227 of
-the 1,266 contexts of the benchmark's census, all but (2, 11) and (3, 5),
-and the search every space of 10^5 or more states.  ``orbit_of`` always
-uses the search.
+most ``_TABLE_CELLS`` = 2^16, so its tables take at most 512 KB.  Above
+that, genus >= 2 goes handle by handle and genus 1 to the search.  The
+tables take 1,227 of the 1,266 contexts of the benchmark's census, and the
+handles the other 39, at (2, 11) and (3, 5).  Best of 9 in-process times
+(2-core box, two sittings, unit twists), search then handles: (2, 31)
+62-75 -> 5.9-6.6 ms, (3, 8) 24-28 -> 3.9, (2, 21) 15-16 -> 2.1-3.5,
+(2, 18) 9.1-9.9 -> 2.7-4.2, (3, 7) 10.4-10.9 -> 0.44-0.48, (3, 5) 2.7-4.2
+-> 0.27-0.51, (2, 11) 1.8-2.8 -> 0.37-0.64.  On tiny spaces the handles
+cost more than the tables ((2, 2) 0.35 against 0.20 ms, (4, 2) 0.66
+against 0.37); they win from about 2 x 10^4 cells ((2, 8) 0.49 against
+0.93 ms), which the bound leaves to the tables.  At genus 1, from about
+2^15 to 2^16 cells the winner follows the orbit count, not the size: the
+search was 1.3-2.1x faster at prime r (two orbits), the tables 1.8-2.6x
+faster at r = 144, 150, 160, 180 (``BENCH_10.json``).  ``orbit_of``
+always uses the search.
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -68,6 +112,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
+from math import prod
 from typing import Any, Callable, Iterable
 
 from .errors import MixedOrbit
@@ -248,7 +294,10 @@ def partition_orbits(
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
     moves = _moves(_validated(generators, genus), r)
-    search = _orbits_by_tables if total * len(moves) <= _TABLE_CELLS else _orbits_by_levels
+    if total * len(moves) <= _TABLE_CELLS:
+        search = _orbits_by_tables
+    else:
+        search = _orbits_by_handles if genus >= 2 else _orbits_by_levels
     return OrbitPartition(r, genus, tuple(search(r, genus, moves)))
 
 
@@ -271,40 +320,179 @@ def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
         for states, digits in _levels(seed, visited, r, genus, moves):
             size += states.size
             if invariant is not None and not np.all(invariant(digits) == label.invariant):
-                raise MixedOrbit(f"the orbit of {rep.coords} mixes canonical forms")
+                raise _mixed(rep)
         records.append(OrbitRecord(rep, size, label))
         seed += int(visited[seed:].argmin())  # the next unvisited state, if any
     return records
+
+
+def _least_labels(least: np.ndarray, pulls: list[Callable[[np.ndarray], None]]) -> np.ndarray:
+    """Min-label propagation: each sweep runs every pull, which lowers labels
+    to labels of their neighbours in place, then jumps pointers (label =
+    label[label]); the labels of the first sweep that changes nothing."""
+    import numpy as np
+    while True:
+        before = least.copy()
+        for pull in pulls:
+            pull(least)
+        least = least[least]
+        if np.array_equal(least, before):
+            return least
+
+
+def _pull_images(table: np.ndarray) -> Callable[[np.ndarray], None]:
+    """Lower each label to the label of its image under one move."""
+    import numpy as np
+    return lambda least: np.minimum(least, least[table], out=least)
+
+
+def _pull_both_ways(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], None]:
+    """Lower the labels at both ends of each edge (a[k], b[k]) to the lesser of the two."""
+    import numpy as np
+
+    def pull(least: np.ndarray) -> None:
+        np.minimum.at(least, a, least[b])
+        np.minimum.at(least, b, least[a])
+    return pull
+
+
+def _least_members(r: int, genus: int, moves: tuple[_Move, ...]) -> tuple[list, np.ndarray]:
+    """The decoded digits of every state and every state's least orbit member,
+    by min-label propagation along one packed image table per move."""
+    import numpy as np
+    states = np.arange(r ** (2 * genus))
+    digits = _digits(states, r, 2 * genus)
+    w = _weights(r, genus)
+    tables = [_image(states, digits, r, w, move) for move in moves]
+    return digits, _least_labels(states, [_pull_images(table) for table in tables])
+
+
+def _mixed(rep: RootTuple) -> MixedOrbit:
+    return MixedOrbit(f"the orbit of {rep.coords} mixes canonical forms")
 
 
 def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
     """Every state's least orbit member at once, by min-label propagation
     along one image table per move and pointer jumping."""
     import numpy as np
-    states = np.arange(r ** (2 * genus))
-    digits = _digits(states, r, 2 * genus)
-    w = _weights(r, genus)
-    tables = [_image(states, digits, r, w, move) for move in moves]
-    least = states.copy()
-    while True:
-        before = least.copy()
-        for table in tables:
-            np.minimum(least, least[table], out=least)
-        least = least[least]
-        if np.array_equal(least, before):
-            break
-    seeds = np.flatnonzero(least == states)
+    digits, least = _least_members(r, genus, moves)
+    seeds = np.flatnonzero(least == np.arange(least.size))
     heads = [_head(seed, r, genus) for seed in seeds.tolist()]
     invariant = _invariant(r, genus)
     if invariant is not None:
-        predicted = np.zeros(states.size, dtype=np.int64)
+        predicted = np.zeros(least.size, dtype=np.int64)
         predicted[seeds] = [label.invariant for _, label in heads]
         mixed = least[invariant(digits) != predicted[least]]
         if mixed.size:
-            rep = heads[int(np.searchsorted(seeds, mixed.min()))][0]
-            raise MixedOrbit(f"the orbit of {rep.coords} mixes canonical forms")
+            raise _mixed(heads[int(np.searchsorted(seeds, mixed.min()))][0])
     sizes = np.bincount(least)[seeds].tolist()
     return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, sizes)]
+
+
+def _orbits_by_handles(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
+    """The orbits as unions of products of per-handle classes, joined along
+    the W twists; the breadth-first search when the products outnumber
+    ``_TABLE_CELLS``."""
+    import numpy as np
+    # 1. the classes of each handle's pairs (s_h, t_h), packed as s_h r + t_h,
+    # under its own U/V moves: least members, each pair's class, class sizes
+    memo: dict[tuple[_Move, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    handles = []
+    for h in range(genus):
+        local = tuple((family, 0, m) for family, i, m in moves if family != "W" and i == h)
+        if local not in memo:
+            least = _least_members(r, 1, local)[1]
+            seeds = np.flatnonzero(least == np.arange(r * r))
+            memo[local] = seeds, np.searchsorted(seeds, least), np.bincount(least)[seeds]
+        handles.append(memo[local])
+    counts = [members.size for members, _, _ in handles]
+    total = prod(counts)
+    if total > _TABLE_CELLS:
+        return _orbits_by_levels(r, genus, moves)
+    # a product class is the tuple of its handles' classes, packed big-endian in
+    # mixed radix, so index order is the order of the classes' least members
+    radix = [prod(counts[h + 1:]) for h in range(genus)]
+
+    def class_of(h, s, t):
+        return handles[h][1][s * r + t]
+
+    # 2. the partition of the class pairs of handles (h, h + 1) that W_h joins,
+    # from its images of every state of Z_r^4; then the join of all of them,
+    # each tensored with the identity on the other handles
+    pulls = []
+    for h in range(genus - 1):
+        powers = [m for family, i, m in moves if family == "W" and i == h]
+        if not powers:
+            continue
+        pair = counts[h] * counts[h + 1]
+
+        def pair_class(d):
+            return class_of(h, d[0], d[1]) * counts[h + 1] + class_of(h + 1, d[2], d[3])
+
+        joined = np.arange(pair)
+        for digits in _blocks(r, 4):
+            src = pair_class(digits)
+            for m in powers:
+                moved = list(digits)
+                for slot, value in _twist(digits, r, "W", 0, m):
+                    moved[slot] = _mod(value, r)
+                dst = pair_class(moved)
+                edge = src != dst
+                a, b = joined[src[edge]], joined[dst[edge]]
+                cross = a != b
+                if cross.any():
+                    joined = _least_labels(joined, [_pull_both_ways(a[cross], b[cross])])
+        # each product class to the one whose pair (h, h + 1) is joined's label of its own
+        index = np.arange(total).reshape(prod(counts[:h]), pair, radix[h + 1])
+        pulls.append(_pull_both_ways(index.ravel(), index[:, joined].ravel()))
+    least = _least_labels(np.arange(total), pulls)
+
+    # 3. an orbit's least member and size from its classes'
+    classes = np.arange(total)
+    seeds = np.flatnonzero(least == classes)
+    state, weight = np.zeros(total, dtype=np.int64), np.ones(total, dtype=np.int64)
+    for h, (members, _, sizes) in enumerate(handles):
+        c = classes // radix[h] % counts[h]
+        state += members[c] * r ** (2 * (genus - 1 - h))
+        weight *= sizes[c]
+    heads = [_head(seed, r, genus) for seed in state[seeds].tolist()]
+    orbit_sizes = np.zeros(total, dtype=np.int64)
+    np.add.at(orbit_sizes, least, weight)
+
+    # 4. every state's label, a block at a time
+    invariant = _invariant(r, genus)
+    if invariant is not None:
+        predicted = np.zeros(total, dtype=np.int64)
+        predicted[seeds] = [label.invariant for _, label in heads]
+        predicted = predicted[least]
+        worst = total
+        for digits in _blocks(r, 2 * genus):
+            c = sum(class_of(h, digits[2 * h], digits[2 * h + 1]) * radix[h] for h in range(genus))
+            mixed = c[invariant(digits) != predicted[c]]
+            if mixed.size:
+                worst = min(worst, int(least[mixed].min()))
+        if worst < total:
+            raise _mixed(heads[int(np.searchsorted(seeds, worst))][0])
+    return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, orbit_sizes[seeds].tolist())]
+
+
+def _blocks(r: int, count: int):
+    """Every tuple of Z_r^count, at most ``_CHUNK`` at a time, in order, as
+    ``count`` digits that broadcast against each other: a block fixes its
+    leading digits as ints, takes a run of values of the next one, and every
+    value of the rest, so each digit's array holds at most r entries."""
+    import numpy as np
+    free = 0
+    while free < count and r ** (free + 1) <= _CHUNK:
+        free += 1
+    tail = [np.arange(r).reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free)]
+    if free == count:
+        yield tail
+        return
+    step = _CHUNK // r**free
+    for head in product(range(r), repeat=count - free - 1):
+        for start in range(0, r, step):
+            yield [*head, np.arange(start, min(start + step, r)).reshape((-1,) + (1,) * free), *tail]
 
 
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:

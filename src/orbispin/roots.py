@@ -16,7 +16,7 @@ from itertools import product
 from typing import Any, Iterator
 
 from .errors import CountOverflow
-from .orbifold import _as_int
+from .orbifold import _as_int, _json_object
 from .seifert import RootContext
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -53,8 +53,7 @@ class RootTuple:
 
     @classmethod
     def from_json(cls, data: Any) -> "RootTuple":
-        if not isinstance(data, dict) or not {"r", "coords"} <= set(data):
-            raise ValueError('root tuple JSON must be {"r": r, "coords": [...]}')
+        _json_object(data, 'root tuple JSON must be {"r": r, "coords": [...]}', ("r", "coords"))
         return cls(data["r"], tuple(data["coords"]))
 
 

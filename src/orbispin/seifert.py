@@ -32,7 +32,7 @@ from math import prod
 from typing import Any
 
 from .errors import InadmissibleOrder, NotSL2Quotient
-from .orbifold import OrbifoldSignature, _as_int, assert_hyperbolic, chi_orb, root_order_admissible
+from .orbifold import OrbifoldSignature, _as_int, _json_object, assert_hyperbolic, chi_orb, root_order_admissible
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class SeifertInvariants:
 
     @classmethod
     def from_json(cls, data: Any) -> "SeifertInvariants":
-        if not isinstance(data, dict) or not {"genus", "b", "pairs"} <= set(data):
-            raise ValueError('invariants JSON must be {"genus": g, "b": b, "pairs": [[a, b], ...]}')
+        shape = 'invariants JSON must be {"genus": g, "b": b, "pairs": [[a, b], ...]}'
+        _json_object(data, shape, ("genus", "b", "pairs"))
         pairs = data["pairs"]
         if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise ValueError("pairs must be a list of [alpha, beta] integer pairs")
@@ -133,8 +133,7 @@ class RootContext:
         """The context of data's signature and r; ValueError unless b, pairs,
         k and euler_number are exactly, types included, what to_json writes."""
         keys = ("b", "pairs", "k", "euler_number")
-        if not isinstance(data, dict) or not {"signature", "r", *keys} <= set(data):
-            raise ValueError("context JSON must have the keys of RootContext.to_json")
+        _json_object(data, "context JSON must have the keys of RootContext.to_json", ("signature", "r", *keys))
         ctx = cls(OrbifoldSignature.from_json(data["signature"]), data["r"])
         derived = ctx.to_json()
         # json.dumps tells 1.0 from 1 and True from 1, where == does not

@@ -40,7 +40,7 @@ from math import gcd
 from typing import Any, Iterable
 
 from .errors import OddOrder
-from .orbifold import _as_int
+from .orbifold import _as_int, _json_object
 from .roots import RootTuple
 
 KIND_GENUS0 = "genus0"
@@ -87,8 +87,8 @@ class TwistGenerator:
 
     @classmethod
     def from_json(cls, data: Any) -> "TwistGenerator":
-        if not isinstance(data, dict) or not {"family", "index", "power"} <= set(data):
-            raise ValueError('generator JSON must be {"family": ..., "index": ..., "power": ...}')
+        shape = 'generator JSON must be {"family": ..., "index": ..., "power": ...}'
+        _json_object(data, shape, ("family", "index", "power"))
         return cls(data["family"], data["index"], data["power"])
 
 
@@ -259,8 +259,7 @@ class StandardForm:
 
     @classmethod
     def from_json(cls, data: Any, order: int, genus: int) -> "StandardForm":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise ValueError('standard form JSON must be {"kind": ..., "d": ...?}')
+        _json_object(data, 'standard form JSON must be {"kind": ..., "d": ...?}', ("kind",), ("d",))
         return cls(data["kind"], order, genus, data.get("d"))
 
 

@@ -86,6 +86,25 @@ def test_enumerate_streams_tuples(capsys):
     assert out.splitlines() == ["0,0", "0,1", "1,0", "1,1"]
 
 
+def test_enumerate_prints_the_genus_zero_tuple_as_a_dash(capsys):
+    # the empty tuple is written "-", as reduce prints it and the tuple parser reads it
+    code, out, _ = run(capsys, "enumerate", SIG_237, "1")
+    assert (code, out) == (0, "-\n")
+    code, out, _ = run(capsys, "reduce", SIG_237, "1", out.strip())
+    assert code == 0 and "canonical: -" in out
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["chi", '{"genus":2,"cone_points":[3],"extra":1}'], "'extra'"),
+    (["twist", '{"genus":2,"cone_points":[3]}', "4", "1,2,3,0", '[{"family":"U","index":1,"power":2,"x":0}]'], "'x'"),
+    (["recognize", '{"genus":2,"b":0,"pairs":[[3,2]],"junk":1}'], "'junk'"),
+])
+def test_unknown_json_keys_are_usage_errors(capsys, argv, unknown):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("UsageError:") and err.strip().endswith(f"unknown keys: {unknown}")
+
+
 def test_enumerate_overflow_exits_three(capsys):
     code, _, err = run(capsys, "enumerate", SIG_G2, "2", "--cap", "5")
     assert code == 3

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import product
 from math import gcd
 
@@ -212,7 +213,7 @@ def test_partition_matches_tuple_bfs_for_other_powers():
 
 # 50,000 and 73,205 table cells (states x moves), either side of the engine choice
 _BOUNDARY = [(2, 10), (2, 11)]
-_ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels]
+_ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels, orbits._orbits_by_handles]
 
 
 @pytest.mark.parametrize("powers", [(1,), (2, -3)])
@@ -227,16 +228,52 @@ def test_both_engines_match_tuple_bfs(powers):
             assert [(rec.representative.coords, rec.size) for rec in records] == expected, (engine, genus, r)
 
 
-def test_engine_choice_follows_table_size(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the other engine was chosen")
+def _refuse(*args):
+    raise AssertionError("another engine was chosen")
 
-    tables_side, levels_side = (context_for(genus, r) for genus, r in _BOUNDARY)
-    with monkeypatch.context() as patch:
-        patch.setattr(orbits, "_orbits_by_levels", refuse)
-        assert partition_orbits(tables_side).sizes() == orbit_count_closed_form(2, 10)
-    monkeypatch.setattr(orbits, "_orbits_by_tables", refuse)
-    assert partition_orbits(levels_side).sizes() == (11**4,)
+
+def test_engine_choice_follows_table_size(monkeypatch):
+    # at most 2^16 cells (states x moves) go to the tables; above that, genus
+    # >= 2 goes handle by handle and genus 1 to the breadth-first search:
+    # (2, 10) has 50,000 cells, (2, 11) 73,205 and (1, 182) 66,248
+    engines = {"_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles"}
+    for genus, r, engine in [(2, 10, "_orbits_by_tables"), (2, 11, "_orbits_by_handles"),
+                             (1, 182, "_orbits_by_levels")]:
+        with monkeypatch.context() as patch:
+            for other in engines - {engine}:
+                patch.setattr(orbits, other, _refuse)
+            partition = partition_orbits(context_for(genus, r))
+        if genus == 1:
+            sizes = {rec.label.d: rec.size for rec in partition.orbits}
+            assert sizes == {d: genus_one_orbit_size(r, d) for d in divisors(r)}
+        else:
+            expected = orbit_count_closed_form(genus, r)
+            assert partition.sizes() == (expected if isinstance(expected, tuple) else (expected,))
+
+
+@pytest.mark.parametrize("genus, r, letters", [
+    (2, 14, [("U", 1, 1), ("U", 2, 1)]),
+    (2, 14, [("V", 1, 1), ("V", 2, -3)]),
+    (3, 6, [("W", 1, 1), ("W", 2, 2)]),
+])
+def test_handle_engine_matches_tuple_bfs_above_the_tables(monkeypatch, genus, r, letters):
+    # one family alone, past the tables' bound (76,832 and 93,312 cells) and
+    # with many orbits sharing a label, so the engine is called directly
+    monkeypatch.setattr(orbits, "_orbits_by_levels", _refuse)
+    moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+    assert r ** (2 * genus) * len(moves) > orbits._TABLE_CELLS
+    records = orbits._orbits_by_handles(r, genus, moves)
+    assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
+
+
+def test_handle_engine_searches_when_the_classes_are_too_many(monkeypatch):
+    # W alone leaves every pair of a handle its own class: 17^4 = 83,521
+    # product classes, more than the tables' 2^16 cells, so the search runs
+    searched = []
+    monkeypatch.setattr(orbits, "_orbits_by_levels", lambda *args: searched.append(args) or "searched")
+    moves = orbits._moves([TwistGenerator("W", 1)], 17)
+    assert orbits._orbits_by_handles(17, 2, moves) == "searched"
+    assert searched == [(17, 2, moves)]
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -246,11 +283,56 @@ def test_both_engines_check_every_state_label(monkeypatch, engine):
     parity = orbits._invariant(2, 2)
 
     def flipped(r, genus):
-        return lambda digits: parity(digits) ^ np.logical_and.reduce([d == 1 for d in digits])
+        # digits may broadcast against each other rather than share one shape
+        return lambda digits: parity(digits) ^ reduce(np.logical_and, [d == 1 for d in digits])
 
     monkeypatch.setattr(orbits, "_invariant", flipped)
     with pytest.raises(RuntimeError, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
         engine(2, 2, orbits._moves(standard_generators(2), 2))
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("flips, rep", [
+    ([(0, 0, 1, 1)], "0, 0, 0, 1"),
+    ([(0, 0, 1, 1), (1, 1, 1, 1)], "0, 0, 0, 0"),
+])
+def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, rep):
+    # (0, 0, 1, 1) lies in the later, odd orbit of (2, 2), whose least member
+    # is (0, 0, 0, 1); with a mismatch in both orbits the earlier one is named,
+    # even when a block of 4 states finds the later one first
+    parity = orbits._invariant(2, 2)
+
+    def flipped(r, genus):
+        return lambda digits: parity(digits) ^ reduce(
+            np.logical_or, [reduce(np.logical_and, [d == c for d, c in zip(digits, x)]) for x in flips])
+
+    monkeypatch.setattr(orbits, "_invariant", flipped)
+    monkeypatch.setattr(orbits, "_CHUNK", 4)
+    with pytest.raises(RuntimeError, match=rf"the orbit of \({rep}\) mixes canonical forms"):
+        engine(2, 2, orbits._moves(standard_generators(2), 2))
+
+
+@pytest.mark.parametrize("r, count, chunk", [(1, 4, 4), (3, 4, 100), (3, 4, 5), (3, 2, 2), (5, 3, 4), (7, 4, 1)])
+def test_blocks_cover_the_space_in_order(monkeypatch, r, count, chunk):
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    rows = []
+    for digits in orbits._blocks(r, count):
+        assert len(digits) == count and all(np.size(d) <= r for d in digits)
+        grid = np.broadcast_arrays(*digits)
+        assert 1 <= grid[0].size <= chunk
+        rows += zip(*(g.ravel().tolist() for g in grid))
+    assert rows == list(product(range(r), repeat=count))
+
+
+@pytest.mark.parametrize("powers", [(1,), (2, -3)])
+def test_handle_engine_in_small_blocks_matches_tuple_bfs(monkeypatch, powers):
+    # blocks of 5 states split Z_r^4 and Z_r^{2g} every way _blocks can
+    monkeypatch.setattr(orbits, "_CHUNK", 5)
+    for genus, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+        letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
+        moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+        records = orbits._orbits_by_handles(r, genus, moves)
+        assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
 
 
 def test_single_twist_orbits_match_tuple_bfs():
@@ -357,3 +439,21 @@ def test_search_peak_memory_per_state():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * r ** (2 * genus)
+
+
+def test_handle_engine_peak_memory():
+    # per-handle arrays of r^2 entries, at most 2^16 product classes and one
+    # block of at most 2^15 states: about 1 MB at (2, 31), (2, 32) and (3, 8),
+    # against 4 B/state for the search (3.7 MB at (2, 31))
+    import tracemalloc
+
+    for genus, r in [(2, 31), (2, 32), (3, 8)]:
+        moves = orbits._moves(standard_generators(genus), r)
+        orbits._orbits_by_handles(3, genus, orbits._moves(standard_generators(genus), 3))  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            orbits._orbits_by_handles(r, genus, moves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, (genus, r, peak)

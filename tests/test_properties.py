@@ -1,9 +1,10 @@
 """Property tests: the algebraic laws of the twist action, the witness
-replay, the JSON loaders, and solve/recognize as inverse maps.
+replay, the JSON loaders (which refuse unknown keys), and solve/recognize as inverse maps.
 
 Examples are derandomised, so every run checks the same cases.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from orbispin import (
     OrbifoldSignature,
     RootContext,
     RootTuple,
+    SeifertInvariants,
     StandardForm,
     TwistGenerator,
     TwistWord,
@@ -98,6 +100,25 @@ def test_json_round_trips(case):
     assert RootTuple.from_json(root.to_json()) == root
     assert TwistWord.from_json(word.to_json()) == word
     assert StandardForm.from_json(form.to_json(), root.order, root.genus) == form
+
+
+def test_json_loaders_refuse_unknown_keys():
+    sig = OrbifoldSignature(2, (3,))
+    ctx = solve_raymond_vasquez(sig, 2)
+    root = RootTuple(6, (1, 2))
+    loaders = [
+        (OrbifoldSignature.from_json, sig.to_json()),
+        (SeifertInvariants.from_json, ctx.invariants.to_json()),
+        (RootContext.from_json, ctx.to_json()),
+        (RootTuple.from_json, root.to_json()),
+        (TwistGenerator.from_json, TwistGenerator("W", 1, 2).to_json()),
+        (lambda data: StandardForm.from_json(data, 6, 1), canonical_form(root).to_json()),
+        (lambda data: StandardForm.from_json(data, 2, 2), canonical_form(RootTuple(2, (0, 0, 0, 1))).to_json()),
+    ]
+    for load, data in loaders:
+        load(data)  # what to_json writes is accepted
+        with pytest.raises(ValueError, match=r"unknown keys: 'extra', 'junk'$"):
+            load({**data, "junk": 1, "extra": None})
 
 
 @SETTINGS
