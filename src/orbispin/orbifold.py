@@ -38,16 +38,15 @@ def _as_int(value: Any, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def _json_object(data: Any, shape: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """``data`` as a JSON object with every key of ``keys`` and none outside
-    ``keys`` and ``optional``; else ValueError, with the message ``shape``
-    and the names of any unknown keys."""
+def _json_object(data: Any, shape: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """ValueError with the message ``shape`` unless ``data`` is a JSON object
+    with every key of ``keys`` and none outside ``keys`` and ``optional``;
+    the message then names the unknown keys."""
     if not isinstance(data, dict) or not set(keys) <= set(data):
         raise ValueError(shape)
     unknown = sorted(set(data) - set(keys) - set(optional), key=repr)
     if unknown:
         raise ValueError(f"{shape}; unknown keys: {', '.join(map(repr, unknown))}")
-    return data
 
 
 @dataclass(frozen=True)

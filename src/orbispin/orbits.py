@@ -50,9 +50,9 @@ Schreier graph of the moves (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, 4.1), so it can be found from coarser
 pieces:
 
-1. The U/V moves of a handle act on its Z_r^2 alone, so they generate a
-   product of per-handle groups, whose orbits (product classes) are the
-   products of per-handle classes.  Those come from the tables'
+1. Each U/V move acts on one handle's Z_r^2 alone, so the U/V moves
+   generate a product of per-handle groups, whose orbits (product classes)
+   are the products of per-handle classes.  Those come from the tables'
    propagation on Z_r^2, once per distinct handle move set in a call.
 2. An orbit is a union of product classes, and W_h joins two of them when
    it maps a member of one into the other.  Such an edge changes only the
@@ -67,7 +67,8 @@ pieces:
    lexicographic order of least members.  A product class's least member
    is the tuple of its handles' least pairs and its size the product of
    their sizes; an orbit's representative is the least member of its
-   least class, and its size is the sum of its classes' sizes.
+   least class, and its size is the sum of its classes' sizes (int64, or
+   Python ints from 2^63 states on).
 4. The label check reads every one of the r^{2g} states, a block of at most
    ``_CHUNK`` at a time, and names the least representative among the
    orbits that hold a mismatch, as the tables do.
@@ -442,7 +443,8 @@ def _orbits_by_handles(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orb
                 cross = a != b
                 if cross.any():
                     joined = _least_labels(joined, [_pull_both_ways(a[cross], b[cross])])
-        # each product class to the one whose pair (h, h + 1) is joined's label of its own
+        # an edge from each product class to the one whose classes of handles
+        # (h, h + 1) are joined's label of its own
         index = np.arange(total).reshape(prod(counts[:h]), pair, radix[h + 1])
         pulls.append(_pull_both_ways(index.ravel(), index[:, joined].ravel()))
     least = _least_labels(np.arange(total), pulls)
@@ -450,13 +452,14 @@ def _orbits_by_handles(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orb
     # 3. an orbit's least member and size from its classes'
     classes = np.arange(total)
     seeds = np.flatnonzero(least == classes)
-    state, weight = np.zeros(total, dtype=np.int64), np.ones(total, dtype=np.int64)
+    exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
+    state, weight = np.zeros(total, dtype=exact), np.ones(total, dtype=exact)
     for h, (members, _, sizes) in enumerate(handles):
         c = classes // radix[h] % counts[h]
-        state += members[c] * r ** (2 * (genus - 1 - h))
-        weight *= sizes[c]
+        state += members.astype(exact)[c] * r ** (2 * (genus - 1 - h))
+        weight *= sizes.astype(exact)[c]
     heads = [_head(seed, r, genus) for seed in state[seeds].tolist()]
-    orbit_sizes = np.zeros(total, dtype=np.int64)
+    orbit_sizes = np.zeros(total, dtype=exact)
     np.add.at(orbit_sizes, least, weight)
 
     # 4. every state's label, a block at a time
@@ -497,7 +500,8 @@ def _blocks(r: int, count: int):
 
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:
     """The twist invariant that tells the labels apart, computed from decoded
-    digits; None when (g, r) has a single label."""
+    digit arrays that broadcast against each other; None when (g, r) has a
+    single label."""
     import numpy as np
     if genus == 0 or (genus >= 2 and r % 2 == 1):
         return None

@@ -444,7 +444,7 @@ def test_search_peak_memory_per_state():
 def test_handle_engine_peak_memory():
     # per-handle arrays of r^2 entries, at most 2^16 product classes and one
     # block of at most 2^15 states: about 1 MB at (2, 31), (2, 32) and (3, 8),
-    # against 4 B/state for the search (3.7 MB at (2, 31))
+    # against 4.2 B/state, 3.9 MB, for the search at (2, 31)
     import tracemalloc
 
     for genus, r in [(2, 31), (2, 32), (3, 8)]:
@@ -457,3 +457,11 @@ def test_handle_engine_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20, (genus, r, peak)
+
+
+def test_handle_engine_counts_past_int64():
+    # 7^24 states, more than 2^67, and 2^12 product classes: sizes and least
+    # members are Python ints, and no array holds one entry per state
+    partition = partition_orbits(context_for(12, 7), cap=None)
+    assert partition.sizes() == (7**24,)
+    assert partition.orbits[0].representative.coords == (0,) * 24
