@@ -82,6 +82,12 @@ CALLS = {
     "recognize-unknown-key": ["recognize", '{"genus":2,"b":0,"pairs":[[3,2]],"junk":1}'],
     "enumerate-genus-zero": ["enumerate", SIG_237, "1"],
     "enumerate-genus-zero-json": ["enumerate", SIG_237, "1", "--json"],
+    "solve-arabic-indic-order": ["solve", SIG_G2, "٢"],
+    "solve-underscore-order": ["solve", '{"genus":1,"cone_points":[11]}', "1_0"],
+    "reduce-underscore-entry": ["reduce", SIG_G1C3, "2", "1_1,+1"],
+    "cap-underscore": ["orbits", SIG_G2, "2", "--cap", "1_0"],
+    "verify-underscore-order": ["verify", "g=1,n=1,alpha=4,r=1_2"],
+    "verify-underscore-seed": ["verify", "g=1,n=1,alpha=4,r=4", "--seed", "1_0"],
 }
 
 
