@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, NoReturn
 
@@ -49,13 +50,20 @@ def _load_text(arg: str) -> str:
     return arg
 
 
+def _integer(text: str) -> int:
+    """ASCII digits, an optional sign and spaces; int() also reads "1_0" and other scripts' digits."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_signature(arg: str) -> OrbifoldSignature:
     return OrbifoldSignature.from_json(json.loads(_load_text(arg)))
 
 
 def _parse_root(arg: str, ctx: RootContext) -> RootTuple:
     text = _load_text(arg).strip()
-    coords = () if text in ("", "-") else tuple(int(p) for p in text.split(","))
+    coords = () if text in ("", "-") else tuple(_integer(p) for p in text.split(","))
     if len(coords) != 2 * ctx.genus:
         raise ValueError(
             f"expected {2 * ctx.genus} comma-separated residues, got {len(coords)}"
@@ -76,7 +84,7 @@ def _emit(args: argparse.Namespace, payload: Any, text: str) -> None:
 
 def _context(args: argparse.Namespace) -> RootContext:
     sig = _parse_signature(args.signature)
-    return solve_raymond_vasquez(sig, int(args.order))
+    return solve_raymond_vasquez(sig, _integer(args.order))
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
@@ -192,7 +200,7 @@ def _parse_bounds(arg: str) -> GridBounds:
             raise ValueError(
                 f"bad grid component {item!r}; expected each of g=..,n=..,alpha=..,r=.. at most once"
             )
-        values[keys[key]] = int(value)
+        values[keys[key]] = _integer(value)
     return GridBounds(**values)
 
 
@@ -234,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p.register("type", int, _integer)  # reads --cap and --seed; errors still say "int"
         p.set_defaults(func=func)
         return p
 
@@ -292,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.cap is None:
-            args.cap = int(os.environ.get("ORBISPIN_STATE_CAP", DEFAULT_STATE_CAP))
+            args.cap = _integer(os.environ.get("ORBISPIN_STATE_CAP", str(DEFAULT_STATE_CAP)))
         if args.cap < 1:
             raise ValueError(f"the state cap must be positive, got {args.cap}")
         return args.func(args)

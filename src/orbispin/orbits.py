@@ -9,8 +9,8 @@ packed images are built from the decoded digits by ``twists._twist``.
 
 Three engines partition the space and give identical records.
 
-Breadth-first search (``_levels``), one orbit at a time, for genus 1 above
-the tables' bound and for ``orbit_of``.  It needs neither a sort nor the
+Breadth-first search (``_levels``), one orbit at a time, for ``orbit_of``
+and for big spaces the handles do not take.  It needs neither a sort nor the
 inverse twists.  Each move is a bijection of Z_r^{2g}, so it maps the
 distinct states of a frontier to distinct images: the images not yet marked
 in ``visited`` are new and distinct, and once marked, later moves find any
@@ -43,58 +43,51 @@ propagation also runs along edges pulled both ways, lowering both ends to
 the lesser label; at its fixed point the ends of every edge agree, so by
 the same argument each label is the least member of its component.
 
-Handle by handle (``_orbits_by_handles``) for genus >= 2 above the tables'
-bound.  The generators are local: U_h and V_h move only the pair (s_h, t_h),
-and W_h only the handles h and h + 1.  An orbit is a component of the
-Schreier graph of the moves (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, 4.1), so it can be found from coarser
-pieces:
+Handle by handle (``_orbits_by_handles``) for the unit twists at genus >= 2
+above the tables' bound.  U_h and V_h move only the pair (s_h, t_h), W_h
+only the handles h and h + 1, each by the same formula on every handle up
+to a shift of index.  An orbit is a component of the Schreier graph of the
+moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, 4.1), so it can be built from coarser pieces:
 
-1. Each U/V move acts on one handle's Z_r^2 alone, so the U/V moves
-   generate a product of per-handle groups, whose orbits (product classes)
-   are the products of per-handle classes.  Those come from the tables'
-   propagation on Z_r^2, once per distinct handle move set in a call.
-2. An orbit is a union of product classes, and W_h joins two of them when
-   it maps a member of one into the other.  Such an edge changes only the
-   classes of handles h and h + 1, whatever the others are, so W_h is
-   applied by ``_twist`` to every state of Z_r^4 only, in blocks of at most
-   ``_CHUNK`` states.  The class pairs it joins are merged by propagation
-   along the edges that cross their current labels, block by block.  The
-   orbits are the join of these partitions, each tensored with the
-   identity on the other handles: propagation over the product classes.
-3. Product classes are packed in mixed radix of their handles' class ids,
-   and class ids are ranked by least member, so index order is the
-   lexicographic order of least members.  A product class's least member
-   is the tuple of its handles' least pairs and its size the product of
-   their sizes; an orbit's representative is the least member of its
-   least class, and its size is the sum of its classes' sizes (int64, or
-   Python ints from 2^63 states on).
-4. The label check reads every one of the r^{2g} states, a block of at most
-   ``_CHUNK`` at a time, and names the least representative among the
-   orbits that hold a mismatch, as the tables do.
+1. The U/V twists generate a product of per-handle groups, whose orbits
+   (product classes) are products of one handle's classes: the d(r)
+   genus-1 orbits below, found once by the tables' propagation on Z_r^2.
+2. An orbit is a union of product classes.  An edge of W_h changes only
+   the classes of handles h and h + 1, whatever the others are, as W_1
+   does those of handles 1 and 2, so every W_h joins the same class pairs:
+   those W_1 joins on Z_r^4, found once, in blocks of at most ``_CHUNK``
+   states, by propagation along its edges.  The orbits are the join of
+   this partition tensored with the identity at each of the g - 1 places.
+3. Class ids are ranked by least member and a product class is packed in
+   their mixed radix, so index order is the order of least members.  Its
+   least member and size come from its handles' by outer products; an
+   orbit's representative is the least member of its least class, and its
+   size the sum of its classes' (int64, or Python ints past 2^63 states).
+4. The label check reads every state, a block of at most ``_CHUNK`` at a
+   time, and names the least representative among the orbits that hold a
+   mismatch, as the tables do.  Memory is one handle's arrays of r^2
+   entries, d(r)^g product classes and one block: a traced peak of about
+   1 MB at (2, 31), (2, 32) and (3, 8), and 1.6 MB at 2^24 states.
 
-When the product classes outnumber ``_TABLE_CELLS`` (W alone leaves every
-pair its own class), the search runs instead.  Memory is the per-handle
-arrays of r^2 entries, at most 2^16 product classes and one block: a traced
-peak of about 1 MB at (2, 31), (2, 32) and (3, 8), and 1.6 MB for the 2^24
-states of (2, 64) and (3, 16).
-
-``partition_orbits`` chooses the tables when states x distinct moves is at
-most ``_TABLE_CELLS`` = 2^16, so its tables take at most 512 KB.  Above
-that, genus >= 2 goes handle by handle and genus 1 to the search.  The
-tables take 1,227 of the 1,266 contexts of the benchmark's census, and the
-handles the other 39, at (2, 11) and (3, 5).  Best of 9 in-process times
-(2-core box, two sittings, unit twists), search then handles: (2, 31)
-62-75 -> 5.9-6.6 ms, (3, 8) 24-28 -> 3.9, (2, 21) 15-16 -> 2.1-3.5,
-(2, 18) 9.1-9.9 -> 2.7-4.2, (3, 7) 10.4-10.9 -> 0.44-0.48, (3, 5) 2.7-4.2
--> 0.27-0.51, (2, 11) 1.8-2.8 -> 0.37-0.64.  On tiny spaces the handles
-cost more than the tables ((2, 2) 0.35 against 0.20 ms, (4, 2) 0.66
-against 0.37); they win from about 2 x 10^4 cells ((2, 8) 0.49 against
-0.93 ms), which the bound leaves to the tables.  At genus 1, from about
-2^15 to 2^16 cells the winner follows the orbit count, not the size: the
-search was 1.3-2.1x faster at prime r (two orbits), the tables 1.8-2.6x
-faster at r = 144, 150, 160, 180 (``BENCH_10.json``).  ``orbit_of``
-always uses the search.
+``partition_orbits`` is the one place that picks an engine.  It chooses
+the tables when states x distinct moves is at most ``_TABLE_CELLS`` = 2^16,
+so its tables take at most 512 KB.  Above that, genus >= 2 goes handle by
+handle when its moves are the unit twists, compared as a set, so any order
+or repeat of them routes the same; genus 1 and every other generator set
+(such as powers {2, -3}, or W alone) go to the search.  The tables take
+1,227 of the 1,266 contexts of the benchmark's census, and the handles the
+other 39, at (2, 11) and (3, 5).  Best of 9 in-process times (2-core box,
+two sittings, unit twists), search then handles: (2, 31) 62-75 -> 5.9-6.6
+ms, (3, 8) 24-28 -> 3.9, (2, 21) 15-16 -> 2.1-3.5, (2, 18) 9.1-9.9 ->
+2.7-4.2, (3, 7) 10.4-10.9 -> 0.44-0.48, (3, 5) 2.7-4.2 -> 0.27-0.51,
+(2, 11) 1.8-2.8 -> 0.37-0.64.  On tiny spaces the handles cost more than
+the tables ((2, 2) 0.35 against 0.20 ms, (4, 2) 0.66 against 0.37); they
+win from about 2 x 10^4 cells ((2, 8) 0.49 against 0.93 ms), which the
+bound leaves to the tables.  At genus 1, from about 2^15 to 2^16 cells the
+winner follows the orbit count, not the size: the search was 1.3-2.1x
+faster at prime r (two orbits), the tables 1.8-2.6x faster at r = 144,
+150, 160, 180 (``BENCH_10.json``).
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -114,7 +107,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from math import prod
 from typing import Any, Callable, Iterable
 
 from .errors import MixedOrbit
@@ -185,7 +177,7 @@ _Move = tuple[str, int, int]
 _CHUNK = 1 << 15
 
 # the largest table size (states x distinct moves) searched by image tables;
-# larger spaces go to the breadth-first search
+# larger spaces go handle by handle or to the breadth-first search
 _TABLE_CELLS = 1 << 16
 
 
@@ -296,10 +288,12 @@ def partition_orbits(
     total = _check_state_count(r, genus, cap)
     moves = _moves(_validated(generators, genus), r)
     if total * len(moves) <= _TABLE_CELLS:
-        search = _orbits_by_tables
+        records = _orbits_by_tables(r, genus, moves)
+    elif genus >= 2 and set(moves) == set(_moves(standard_generators(genus), r)):
+        records = _orbits_by_handles(r, genus)
     else:
-        search = _orbits_by_handles if genus >= 2 else _orbits_by_levels
-    return OrbitPartition(r, genus, tuple(search(r, genus, moves)))
+        records = _orbits_by_levels(r, genus, moves)
+    return OrbitPartition(r, genus, tuple(records))
 
 
 def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
@@ -390,79 +384,51 @@ def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
     return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, sizes)]
 
 
-def _orbits_by_handles(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
-    """The orbits as unions of products of per-handle classes, joined along
-    the W twists; the breadth-first search when the products outnumber
-    ``_TABLE_CELLS``."""
+def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
+    """The unit twists' orbits at genus >= 2, from one handle's classes and one W join."""
     import numpy as np
-    # 1. the classes of each handle's pairs (s_h, t_h), packed as s_h r + t_h,
-    # under its own U/V moves: least members, each pair's class, class sizes
-    memo: dict[tuple[_Move, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    handles = []
-    for h in range(genus):
-        local = tuple((family, 0, m) for family, i, m in moves if family != "W" and i == h)
-        if local not in memo:
-            least = _least_members(r, 1, local)[1]
-            seeds = np.flatnonzero(least == np.arange(r * r))
-            memo[local] = seeds, np.searchsorted(seeds, least), np.bincount(least)[seeds]
-        handles.append(memo[local])
-    counts = [members.size for members, _, _ in handles]
-    total = prod(counts)
-    if total > _TABLE_CELLS:
-        return _orbits_by_levels(r, genus, moves)
-    # a product class is the tuple of its handles' classes, packed big-endian in
-    # mixed radix, so index order is the order of the classes' least members
-    radix = [prod(counts[h + 1:]) for h in range(genus)]
+    # 1. the classes of a handle's pairs (s, t), packed as s r + t, under its
+    # U and V: least members, each pair's class and the class sizes
+    least = _least_members(r, 1, _moves(standard_generators(1), r))[1]
+    members = np.flatnonzero(least == np.arange(r * r))
+    class_of, sizes = np.searchsorted(members, least), np.bincount(least)[members]
+    count = members.size
+    total = count**genus
 
-    def class_of(h, s, t):
-        return handles[h][1][s * r + t]
+    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4
+    joined = np.arange(count * count)
+    for digits in _blocks(r, 4):
+        moved = list(digits)
+        for slot, value in _twist(digits, r, "W", 0, 1):
+            moved[slot] = _mod(value, r)
+        src, dst = (class_of[d[0] * r + d[1]] * count + class_of[d[2] * r + d[3]] for d in (digits, moved))
+        edge = src != dst
+        a, b = joined[src[edge]], joined[dst[edge]]
+        cross = a != b
+        if cross.any():
+            joined = _least_labels(joined, [_pull_both_ways(a[cross], b[cross])])
 
-    # 2. the partition of the class pairs of handles (h, h + 1) that W_h joins,
-    # from its images of every state of Z_r^4; then the join of all of them,
-    # each tensored with the identity on the other handles
+    # 3. the join of that partition at each pair of handles (h, h + 1): an edge from each
+    # product class (class ids big-endian in base count) to the one with joined's label there
     pulls = []
     for h in range(genus - 1):
-        powers = [m for family, i, m in moves if family == "W" and i == h]
-        if not powers:
-            continue
-        pair = counts[h] * counts[h + 1]
-
-        def pair_class(d):
-            return class_of(h, d[0], d[1]) * counts[h + 1] + class_of(h + 1, d[2], d[3])
-
-        joined = np.arange(pair)
-        for digits in _blocks(r, 4):
-            src = pair_class(digits)
-            for m in powers:
-                moved = list(digits)
-                for slot, value in _twist(digits, r, "W", 0, m):
-                    moved[slot] = _mod(value, r)
-                dst = pair_class(moved)
-                edge = src != dst
-                a, b = joined[src[edge]], joined[dst[edge]]
-                cross = a != b
-                if cross.any():
-                    joined = _least_labels(joined, [_pull_both_ways(a[cross], b[cross])])
-        # an edge from each product class to the one whose classes of handles
-        # (h, h + 1) are joined's label of its own
-        index = np.arange(total).reshape(prod(counts[:h]), pair, radix[h + 1])
+        index = np.arange(total).reshape(count**h, count * count, count ** (genus - 2 - h))
         pulls.append(_pull_both_ways(index.ravel(), index[:, joined].ravel()))
     least = _least_labels(np.arange(total), pulls)
 
-    # 3. an orbit's least member and size from its classes'
-    classes = np.arange(total)
-    seeds = np.flatnonzero(least == classes)
+    # 4. a product class's least member and size, from its handles' by outer
+    # products; an orbit's from its classes'
+    seeds = np.flatnonzero(least == np.arange(total))
     exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
-    state, weight = np.zeros(total, dtype=exact), np.ones(total, dtype=exact)
-    for h, (members, _, sizes) in enumerate(handles):
-        c = classes // radix[h] % counts[h]
-        state += members.astype(exact)[c] * r ** (2 * (genus - 1 - h))
-        weight *= sizes.astype(exact)[c]
+    state, weight = np.zeros(1, dtype=exact), np.ones(1, dtype=exact)
+    for _ in range(genus):
+        state = np.add.outer(state * (r * r), members.astype(exact)).ravel()
+        weight = np.multiply.outer(weight, sizes.astype(exact)).ravel()
     heads = [_head(seed, r, genus) for seed in state[seeds].tolist()]
     orbit_sizes = np.zeros(total, dtype=exact)
     np.add.at(orbit_sizes, least, weight)
 
-    # 4. every state's label, a block at a time
+    # 5. every state's label, a block at a time
     invariant = _invariant(r, genus)
     if invariant is not None:
         predicted = np.zeros(total, dtype=np.int64)
@@ -470,7 +436,7 @@ def _orbits_by_handles(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orb
         predicted = predicted[least]
         worst = total
         for digits in _blocks(r, 2 * genus):
-            c = sum(class_of(h, digits[2 * h], digits[2 * h + 1]) * radix[h] for h in range(genus))
+            c = sum(class_of[digits[2 * h] * r + digits[2 * h + 1]] * count ** (genus - 1 - h) for h in range(genus))
             mixed = c[invariant(digits) != predicted[c]]
             if mixed.size:
                 worst = min(worst, int(least[mixed].min()))

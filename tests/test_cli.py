@@ -197,12 +197,23 @@ def test_non_integers_and_bad_caps_are_usage_errors(capsys, argv):
     assert err.startswith("UsageError:")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "0", "2.5", "1_0", "\u0662"])
 def test_bad_state_cap_env_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("ORBISPIN_STATE_CAP", value)
     code, _, err = run(capsys, "chi", SIG_G2)
     assert code == 2
     assert err.startswith("UsageError:")
+
+
+def test_integers_may_carry_a_sign_and_spaces(monkeypatch, capsys):
+    # ASCII digits only (tests/cli_golden.json pins the refusals), but a
+    # sign and surrounding spaces are still read, as int() reads them
+    monkeypatch.setenv("ORBISPIN_STATE_CAP", " +64 ")
+    code, out, _ = run(capsys, "reduce", SIG_G1C3, " 2 ", "+1, -1 ")
+    assert code == 0
+    assert out.startswith("form: genus1 d=1\ncanonical: 0,1\n")
+    code, _, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r= 4", "--seed", "-3", "--cap", " 64")
+    assert code == 0
 
 
 def test_failed_invariant_exits_four(monkeypatch, capsys):

@@ -216,6 +216,11 @@ _BOUNDARY = [(2, 10), (2, 11)]
 _ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels, orbits._orbits_by_handles]
 
 
+def _run(engine, r, genus, moves):
+    # the handle engine takes no moves: it acts by the unit twists
+    return engine(r, genus) if engine is orbits._orbits_by_handles else engine(r, genus, moves)
+
+
 @pytest.mark.parametrize("powers", [(1,), (2, -3)])
 def test_both_engines_match_tuple_bfs(powers):
     assert 10**4 * 5 <= orbits._TABLE_CELLS < 11**4 * 5
@@ -223,8 +228,9 @@ def test_both_engines_match_tuple_bfs(powers):
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
         moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
         expected = bfs_partition(r, genus, letters)
-        for engine in _ENGINES:
-            records = engine(r, genus, moves)
+        # the handle engine takes the unit twists at genus >= 2 alone
+        for engine in _ENGINES if powers == (1,) and genus >= 2 else _ENGINES[:2]:
+            records = _run(engine, r, genus, moves)
             assert [(rec.representative.coords, rec.size) for rec in records] == expected, (engine, genus, r)
 
 
@@ -251,29 +257,42 @@ def test_engine_choice_follows_table_size(monkeypatch):
             assert partition.sizes() == (expected if isinstance(expected, tuple) else (expected,))
 
 
-@pytest.mark.parametrize("genus, r, letters", [
-    (2, 14, [("U", 1, 1), ("U", 2, 1)]),
-    (2, 14, [("V", 1, 1), ("V", 2, -3)]),
-    (3, 6, [("W", 1, 1), ("W", 2, 2)]),
-])
-def test_handle_engine_matches_tuple_bfs_above_the_tables(monkeypatch, genus, r, letters):
-    # one family alone, past the tables' bound (76,832 and 93,312 cells) and
-    # with many orbits sharing a label, so the engine is called directly
-    monkeypatch.setattr(orbits, "_orbits_by_levels", _refuse)
-    moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
-    assert r ** (2 * genus) * len(moves) > orbits._TABLE_CELLS
-    records = orbits._orbits_by_handles(r, genus, moves)
-    assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
+class _Chosen(Exception):
+    """Raised with its arguments by an engine stub in place of a search."""
 
 
-def test_handle_engine_searches_when_the_classes_are_too_many(monkeypatch):
-    # W alone leaves every pair of a handle its own class: 17^4 = 83,521
-    # product classes, more than the tables' 2^16 cells, so the search runs
-    searched = []
-    monkeypatch.setattr(orbits, "_orbits_by_levels", lambda *args: searched.append(args) or "searched")
-    moves = orbits._moves([TwistGenerator("W", 1)], 17)
-    assert orbits._orbits_by_handles(17, 2, moves) == "searched"
-    assert searched == [(17, 2, moves)]
+def _chosen(*args):
+    raise _Chosen(*args)
+
+
+def test_engine_choice_follows_the_generator_set(monkeypatch):
+    # above the tables' bound, the unit twists go handle by handle however
+    # they are passed, and any other set to the breadth-first search: here
+    # powers {2, -3} at (2, 11) and W alone, which leaves every pair of a
+    # handle its own class, at (2, 17)
+    standard = list(standard_generators(2))[::-1]
+    powers = [TwistGenerator(g.family, g.index, m) for g in standard for m in (2, -3)]
+    engines = {engine.__name__ for engine in _ENGINES}
+    for r, gens, engine in [(11, standard, "_orbits_by_handles"), (11, powers, "_orbits_by_levels"),
+                            (17, [TwistGenerator("W", 1)], "_orbits_by_levels")]:
+        with monkeypatch.context() as patch:
+            for other in engines - {engine}:
+                patch.setattr(orbits, other, _refuse)
+            patch.setattr(orbits, engine, _chosen)
+            with pytest.raises(_Chosen) as chosen:
+                partition_orbits(context_for(2, r), generators=gens)
+        moves = orbits._moves(gens, r)
+        assert chosen.value.args == ((r, 2) if engine == "_orbits_by_handles" else (r, 2, moves))
+
+
+@pytest.mark.parametrize("genus, r", [(2, 11), (2, 12), (3, 5)])
+def test_handle_engine_matches_tuple_bfs_above_the_tables(genus, r):
+    # 73,205, 103,680 and 125,000 cells, past the tables' bound; at (2, 12)
+    # each handle has 6 classes, so W joins among 36 class pairs
+    standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
+    assert r ** (2 * genus) * len(standard) > orbits._TABLE_CELLS
+    records = orbits._orbits_by_handles(r, genus)
+    assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, standard)
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -288,7 +307,7 @@ def test_both_engines_check_every_state_label(monkeypatch, engine):
 
     monkeypatch.setattr(orbits, "_invariant", flipped)
     with pytest.raises(RuntimeError, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
-        engine(2, 2, orbits._moves(standard_generators(2), 2))
+        _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -309,7 +328,7 @@ def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, 
     monkeypatch.setattr(orbits, "_invariant", flipped)
     monkeypatch.setattr(orbits, "_CHUNK", 4)
     with pytest.raises(RuntimeError, match=rf"the orbit of \({rep}\) mixes canonical forms"):
-        engine(2, 2, orbits._moves(standard_generators(2), 2))
+        _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
 @pytest.mark.parametrize("r, count, chunk", [(1, 4, 4), (3, 4, 100), (3, 4, 5), (3, 2, 2), (5, 3, 4), (7, 4, 1)])
@@ -324,15 +343,13 @@ def test_blocks_cover_the_space_in_order(monkeypatch, r, count, chunk):
     assert rows == list(product(range(r), repeat=count))
 
 
-@pytest.mark.parametrize("powers", [(1,), (2, -3)])
-def test_handle_engine_in_small_blocks_matches_tuple_bfs(monkeypatch, powers):
+def test_handle_engine_in_small_blocks_matches_tuple_bfs(monkeypatch):
     # blocks of 5 states split Z_r^4 and Z_r^{2g} every way _blocks can
     monkeypatch.setattr(orbits, "_CHUNK", 5)
     for genus, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
-        letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
-        moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
-        records = orbits._orbits_by_handles(r, genus, moves)
-        assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
+        standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
+        records = orbits._orbits_by_handles(r, genus)
+        assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, standard)
 
 
 def test_single_twist_orbits_match_tuple_bfs():
@@ -442,17 +459,16 @@ def test_search_peak_memory_per_state():
 
 
 def test_handle_engine_peak_memory():
-    # per-handle arrays of r^2 entries, at most 2^16 product classes and one
+    # one handle's arrays of r^2 entries, d(r)^g product classes and one
     # block of at most 2^15 states: about 1 MB at (2, 31), (2, 32) and (3, 8),
     # against 4.2 B/state, 3.9 MB, for the search at (2, 31)
     import tracemalloc
 
     for genus, r in [(2, 31), (2, 32), (3, 8)]:
-        moves = orbits._moves(standard_generators(genus), r)
-        orbits._orbits_by_handles(3, genus, orbits._moves(standard_generators(genus), 3))  # warm numpy's caches
+        orbits._orbits_by_handles(3, genus)  # warm numpy's caches
         tracemalloc.start()
         try:
-            orbits._orbits_by_handles(r, genus, moves)
+            orbits._orbits_by_handles(r, genus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
