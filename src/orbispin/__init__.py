@@ -6,6 +6,9 @@ the roots as tuples in Z_r^{2g}, canonicalises them under the Dehn-twist
 action of the diffeomorphism group with replayable witness words, counts
 orbits both by brute force and in closed form, and assembles the resulting
 component/sheet census of the moduli space of taut contact circles.
+
+``partition_orbits`` and ``orbit_of`` act by the unit twists and take no
+``generators`` argument.
 """
 
 from .errors import (

@@ -7,7 +7,8 @@ represented by its lexicographically least member, and orbits are listed in
 ascending order of it.  A move is one generator power reduced mod r; its
 packed images are built from the decoded digits by ``twists._twist``.
 
-Three engines partition the space and give identical records.
+Three engines partition the space and give identical records.  They act by
+the moves they are given; the library gives them the unit twists'.
 
 Breadth-first search (``_levels``), one orbit at a time, for ``orbit_of``
 and for big spaces the handles do not take.  It needs neither a sort nor the
@@ -43,10 +44,10 @@ propagation also runs along edges pulled both ways, lowering both ends to
 the lesser label; at its fixed point the ends of every edge agree, so by
 the same argument each label is the least member of its component.
 
-Handle by handle (``_orbits_by_handles``) for the unit twists at genus >= 2
-above the tables' bound.  U_h and V_h move only the pair (s_h, t_h), W_h
-only the handles h and h + 1, each by the same formula on every handle up
-to a shift of index.  An orbit is a component of the Schreier graph of the
+Handle by handle (``_orbits_by_handles``) at genus >= 2 above the tables'
+bound.  U_h and V_h move only the pair (s_h, t_h), W_h only the handles h
+and h + 1, each by the same formula on every handle up to a shift of
+index.  An orbit is a component of the Schreier graph of the
 moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2005, 4.1), so it can be built from coarser pieces:
 
@@ -61,38 +62,37 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    this partition tensored with the identity at each of the g - 1 places.
 3. Class ids are ranked by least member and a product class is packed in
    their mixed radix, so index order is the order of least members.  Its
-   least member and size come from its handles' by outer products; an
-   orbit's representative is the least member of its least class, and its
-   size the sum of its classes' (int64, or Python ints past 2^63 states).
-4. The label check reads every state, a block of at most ``_CHUNK`` at a
-   time, and names the least representative among the orbits that hold a
-   mismatch, as the tables do.  Memory is one handle's arrays of r^2
-   entries, d(r)^g product classes and one block: a traced peak of about
-   1 MB at (2, 31), (2, 32) and (3, 8), and 1.6 MB at 2^24 states.
+   least member and size come from its handles' by outer products.
+4. The label check reads classes, not states.  The parity is a sum over
+   handles: ``_parity(x, g)`` is the XOR of ``_parity(x_h, 1)`` over the
+   handles.  So ``_parity(., 1)``, read once on Z_r^2, gives each handle
+   class one parity or both, and a product class has the XOR of its
+   handles' parities, or both as soon as one of its handles' classes has
+   both; outer products give these too.  Memory is one handle's arrays of
+   r^2 entries, d(r)^g product classes and one block of Z_r^4: a traced
+   peak of 1.1-1.7 MB at (2, 31), (2, 32), (2, 64) and (3, 16), and 0.15
+   MB at (3, 8) and (4, 8).
+
+The tables and the handles end in one tail (``_records``), over classes of
+states ranked by least member; for the tables every state is its own
+class.  An orbit's representative is the least member of its least class,
+and its size the sum of its classes' (int64, or Python ints past 2^63
+states).  A class fails the label check when its invariant value differs
+from its orbit's label, as a class holding two values always does; the
+error names the least representative among the orbits that hold a failing
+class.
 
 ``partition_orbits`` is the one place that picks an engine.  It chooses
 the tables when states x distinct moves is at most ``_TABLE_CELLS`` = 2^16,
 so its tables take at most 512 KB.  Above that, genus >= 2 goes handle by
-handle when its moves are the unit twists, compared as a set, so any order
-or repeat of them routes the same; genus 1 and every other generator set
-(such as powers {2, -3}, or W alone) go to the search.  The tables take
-1,227 of the 1,266 contexts of the benchmark's census, and the handles the
-other 39, at (2, 11) and (3, 5).  Best of 9 in-process times (2-core box,
-two sittings, unit twists), search then handles: (2, 31) 62-75 -> 5.9-6.6
-ms, (3, 8) 24-28 -> 3.9, (2, 21) 15-16 -> 2.1-3.5, (2, 18) 9.1-9.9 ->
-2.7-4.2, (3, 7) 10.4-10.9 -> 0.44-0.48, (3, 5) 2.7-4.2 -> 0.27-0.51,
-(2, 11) 1.8-2.8 -> 0.37-0.64.  On tiny spaces the handles cost more than
-the tables ((2, 2) 0.35 against 0.20 ms, (4, 2) 0.66 against 0.37); they
-win from about 2 x 10^4 cells ((2, 8) 0.49 against 0.93 ms), which the
-bound leaves to the tables.  At genus 1, from about 2^15 to 2^16 cells the
-winner follows the orbit count, not the size: the search was 1.3-2.1x
-faster at prime r (two orbits), the tables 1.8-2.6x faster at r = 144,
-150, 160, 180 (``BENCH_10.json``).
+handle and genus 1 to the search.  The tables take 1,227 of the 1,266
+contexts of the benchmark's census, and the handles the other 39, at
+(2, 11) and (3, 5).
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
-(g, r) and generators, never on which calls came before it.  Only the
-search functions import numpy; the closed forms below never load it.
+(g, r), never on which calls came before it.  Only the search functions
+import numpy; the closed forms below never load it.
 
 The closed-form counts implemented alongside: for genus >= 2 and even r the
 action has exactly two orbits, of sizes r^{2g} (2^g + 1) / 2^{g+1} and
@@ -116,7 +116,6 @@ from .seifert import RootContext
 from .twists import (
     StandardForm,
     TwistGenerator,
-    _check_index,
     _parity,
     _twist,
     canonical_form,
@@ -132,7 +131,7 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """The full orbit decomposition of Z_r^{2g} under a twist generator set."""
+    """The full orbit decomposition of Z_r^{2g} under the unit twists."""
 
     order: int
     genus: int
@@ -180,16 +179,12 @@ _CHUNK = 1 << 15
 # larger spaces go handle by handle or to the breadth-first search
 _TABLE_CELLS = 1 << 16
 
+# the invariant value of a class whose states have two values; no label has it
+_BOTH = -1
+
 
 def _weights(r: int, genus: int) -> list[int]:
     return [r ** (2 * genus - 1 - a) for a in range(2 * genus)]
-
-
-def _validated(generators: Iterable[TwistGenerator] | None, genus: int) -> tuple[TwistGenerator, ...]:
-    gens = standard_generators(genus) if generators is None else tuple(generators)
-    for gen in gens:
-        _check_index(gen.family, gen.index, genus)
-    return gens
 
 
 def _mod(x: np.ndarray, r: int) -> np.ndarray:
@@ -256,27 +251,19 @@ def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Mo
                     level.append(fresh)
 
 
-def orbit_of(
-    root: RootTuple,
-    cap: int | None = DEFAULT_STATE_CAP,
-    generators: Iterable[TwistGenerator] | None = None,
-) -> set[RootTuple]:
-    """Closure of one root under the twist generators and their inverses."""
+def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTuple]:
+    """Closure of one root under the unit twists and their inverses."""
     import numpy as np
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
-    moves = _moves(_validated(generators, g), r)
+    moves = _moves(standard_generators(g), r)
     seed = sum(c * w for c, w in zip(root.coords, _weights(r, g)))
     levels = _levels(seed, np.zeros(total, dtype=bool), r, g, moves)
     chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
     return {RootTuple._trusted(r, tuple(row)) for rows in chunks for row in rows}
 
 
-def partition_orbits(
-    ctx: RootContext,
-    cap: int | None = DEFAULT_STATE_CAP,
-    generators: Iterable[TwistGenerator] | None = None,
-) -> OrbitPartition:
+def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> OrbitPartition:
     """Full orbit decomposition of Z_r^{2g}, labelled by canonical forms.
 
     Each orbit is labelled by the canonical form of its representative (the
@@ -286,10 +273,10 @@ def partition_orbits(
     """
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
-    moves = _moves(_validated(generators, genus), r)
+    moves = _moves(standard_generators(genus), r)
     if total * len(moves) <= _TABLE_CELLS:
         records = _orbits_by_tables(r, genus, moves)
-    elif genus >= 2 and set(moves) == set(_moves(standard_generators(genus), r)):
+    elif genus >= 2:
         records = _orbits_by_handles(r, genus)
     else:
         records = _orbits_by_levels(r, genus, moves)
@@ -371,27 +358,21 @@ def _orbits_by_tables(r: int, genus: int, moves: tuple[_Move, ...]) -> list[Orbi
     along one image table per move and pointer jumping."""
     import numpy as np
     digits, least = _least_members(r, genus, moves)
-    seeds = np.flatnonzero(least == np.arange(least.size))
-    heads = [_head(seed, r, genus) for seed in seeds.tolist()]
     invariant = _invariant(r, genus)
-    if invariant is not None:
-        predicted = np.zeros(least.size, dtype=np.int64)
-        predicted[seeds] = [label.invariant for _, label in heads]
-        mixed = least[invariant(digits) != predicted[least]]
-        if mixed.size:
-            raise _mixed(heads[int(np.searchsorted(seeds, mixed.min()))][0])
-    sizes = np.bincount(least)[seeds].tolist()
-    return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, sizes)]
+    values = None if invariant is None else invariant(digits)
+    return _records(r, genus, least, np.arange(least.size), None, values)
 
 
 def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     """The unit twists' orbits at genus >= 2, from one handle's classes and one W join."""
     import numpy as np
     # 1. the classes of a handle's pairs (s, t), packed as s r + t, under its
-    # U and V: least members, each pair's class and the class sizes
-    least = _least_members(r, 1, _moves(standard_generators(1), r))[1]
+    # U and V: least members, each pair's class, the class sizes and how many
+    # of a class's pairs have odd parity
+    pairs, least = _least_members(r, 1, _moves(standard_generators(1), r))
     members = np.flatnonzero(least == np.arange(r * r))
     class_of, sizes = np.searchsorted(members, least), np.bincount(least)[members]
+    odd = np.bincount(class_of[_parity(pairs, 1) == 1], minlength=members.size)
     count = members.size
     total = count**genus
 
@@ -416,33 +397,42 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
         pulls.append(_pull_both_ways(index.ravel(), index[:, joined].ravel()))
     least = _least_labels(np.arange(total), pulls)
 
-    # 4. a product class's least member and size, from its handles' by outer
-    # products; an orbit's from its classes'
-    seeds = np.flatnonzero(least == np.arange(total))
+    # 4. a product class's least member, size and parity, from its handles' by
+    # outer products: the parity is the XOR of its handles', unless one of
+    # them holds both parities
     exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
     state, weight = np.zeros(1, dtype=exact), np.ones(1, dtype=exact)
+    parity, both = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
     for _ in range(genus):
         state = np.add.outer(state * (r * r), members.astype(exact)).ravel()
         weight = np.multiply.outer(weight, sizes.astype(exact)).ravel()
-    heads = [_head(seed, r, genus) for seed in state[seeds].tolist()]
-    orbit_sizes = np.zeros(total, dtype=exact)
-    np.add.at(orbit_sizes, least, weight)
+        parity = np.bitwise_xor.outer(parity, odd > 0).ravel()
+        both = np.logical_or.outer(both, (odd > 0) & (odd < sizes)).ravel()
+    values = None if _invariant(r, genus) is None else np.where(both, _BOTH, parity)
+    return _records(r, genus, least, state, weight, values)
 
-    # 5. every state's label, a block at a time
-    invariant = _invariant(r, genus)
-    if invariant is not None:
-        predicted = np.zeros(total, dtype=np.int64)
+
+def _records(r: int, genus: int, least: np.ndarray, members: np.ndarray, sizes: np.ndarray | None,
+             values: np.ndarray | None) -> list[OrbitRecord]:
+    """The orbit records of classes of states ranked by least member: class k
+    has its orbit's least class ``least[k]``, least member ``members[k]``,
+    ``sizes[k]`` states (one each if None) and invariant value ``values[k]``
+    (None when (g, r) has a single label), which fails if not its orbit's."""
+    import numpy as np
+    seeds = np.flatnonzero(least == np.arange(least.size))
+    heads = [_head(seed, r, genus) for seed in members[seeds].tolist()]
+    if values is not None:
+        predicted = np.zeros(least.size, dtype=np.int64)
         predicted[seeds] = [label.invariant for _, label in heads]
-        predicted = predicted[least]
-        worst = total
-        for digits in _blocks(r, 2 * genus):
-            c = sum(class_of[digits[2 * h] * r + digits[2 * h + 1]] * count ** (genus - 1 - h) for h in range(genus))
-            mixed = c[invariant(digits) != predicted[c]]
-            if mixed.size:
-                worst = min(worst, int(least[mixed].min()))
-        if worst < total:
-            raise _mixed(heads[int(np.searchsorted(seeds, worst))][0])
-    return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, orbit_sizes[seeds].tolist())]
+        mixed = least[values != predicted[least]]
+        if mixed.size:
+            raise _mixed(heads[int(np.searchsorted(seeds, mixed.min()))][0])
+    if sizes is None:
+        counts = np.bincount(least)
+    else:
+        counts = np.zeros(least.size, dtype=sizes.dtype)
+        np.add.at(counts, least, sizes)
+    return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, counts[seeds].tolist())]
 
 
 def _blocks(r: int, count: int):

@@ -1,6 +1,8 @@
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from math import gcd
+from operator import xor
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from orbispin import orbits
 from orbispin import (
     CountOverflow,
+    MixedOrbit,
     OrbifoldSignature,
+    OrbitPartition,
     RootTuple,
     TwistGenerator,
     divisors,
@@ -19,6 +23,7 @@ from orbispin import (
     solve_raymond_vasquez,
     standard_generators,
 )
+from orbispin.twists import _parity
 from helpers import (
     CENSUS_SIGNATURES,
     _twist as tuple_twist,
@@ -136,11 +141,12 @@ def test_partition_is_generator_set_independent():
         TwistGenerator("V", 2, -2),
         TwistGenerator("W", 1, 2),
     ]
-    assert partition_orbits(_ctx(2, 3), generators=extra) == base
-
     ctx6 = solve_raymond_vasquez(genus_one_signature(6), 6)
     gens = [TwistGenerator("U", 1), TwistGenerator("V", 1), TwistGenerator("U", 1, 3)]
-    assert partition_orbits(ctx6, generators=gens) == partition_orbits(ctx6)
+    # the engines take any move set; both sets generate the unit twists' group
+    for engine in (orbits._orbits_by_tables, orbits._orbits_by_levels):
+        assert tuple(engine(3, 2, orbits._moves(extra, 3))) == base.orbits
+        assert tuple(engine(6, 1, orbits._moves(gens, 6))) == partition_orbits(ctx6).orbits
 
 
 def test_partition_is_deterministic():
@@ -180,9 +186,14 @@ def test_partition_json_shape():
         assert set(o) == {"rep", "size", "label"}
 
 
-def test_invalid_generator_rejected():
-    with pytest.raises(ValueError):
-        partition_orbits(_ctx(2, 2), generators=[TwistGenerator("W", 2)])
+def test_orbit_partition_refuses_bad_records():
+    # genus 1 at r = 4: the orbits of (0, 0), (0, 1) and (0, 2), of sizes 1,
+    # 12 and 3 and labels d = 4, 1 and 2
+    first, second, third = partition_orbits(solve_raymond_vasquez(genus_one_signature(4), 4)).orbits
+    with pytest.raises(ValueError, match=r"orbit sizes sum to 13, expected r\^\(2g\)"):
+        OrbitPartition(4, 1, (first, second))
+    with pytest.raises(ValueError, match="orbit labels must be pairwise distinct"):
+        OrbitPartition(4, 1, (first, replace(second, label=first.label), third))
 
 
 # every (g, r) with r^{2g} <= 4096; genus 0 has a single state at every r
@@ -200,15 +211,6 @@ def test_partition_matches_tuple_bfs():
         standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
         partition = partition_orbits(context_for(genus, r))
         assert _records(partition) == bfs_partition(r, genus, standard), (genus, r)
-
-
-def test_partition_matches_tuple_bfs_for_other_powers():
-    # powers 2 and -3 of every unit twist generate the same group
-    for genus, r in _SMALL:
-        powers = [(g.family, g.index, m) for g in standard_generators(genus) for m in (2, -3)]
-        gens = [TwistGenerator(*p) for p in powers]
-        partition = partition_orbits(context_for(genus, r), generators=gens)
-        assert _records(partition) == bfs_partition(r, genus, powers), (genus, r)
 
 
 # 50,000 and 73,205 table cells (states x moves), either side of the engine choice
@@ -257,34 +259,6 @@ def test_engine_choice_follows_table_size(monkeypatch):
             assert partition.sizes() == (expected if isinstance(expected, tuple) else (expected,))
 
 
-class _Chosen(Exception):
-    """Raised with its arguments by an engine stub in place of a search."""
-
-
-def _chosen(*args):
-    raise _Chosen(*args)
-
-
-def test_engine_choice_follows_the_generator_set(monkeypatch):
-    # above the tables' bound, the unit twists go handle by handle however
-    # they are passed, and any other set to the breadth-first search: here
-    # powers {2, -3} at (2, 11) and W alone, which leaves every pair of a
-    # handle its own class, at (2, 17)
-    standard = list(standard_generators(2))[::-1]
-    powers = [TwistGenerator(g.family, g.index, m) for g in standard for m in (2, -3)]
-    engines = {engine.__name__ for engine in _ENGINES}
-    for r, gens, engine in [(11, standard, "_orbits_by_handles"), (11, powers, "_orbits_by_levels"),
-                            (17, [TwistGenerator("W", 1)], "_orbits_by_levels")]:
-        with monkeypatch.context() as patch:
-            for other in engines - {engine}:
-                patch.setattr(orbits, other, _refuse)
-            patch.setattr(orbits, engine, _chosen)
-            with pytest.raises(_Chosen) as chosen:
-                partition_orbits(context_for(2, r), generators=gens)
-        moves = orbits._moves(gens, r)
-        assert chosen.value.args == ((r, 2) if engine == "_orbits_by_handles" else (r, 2, moves))
-
-
 @pytest.mark.parametrize("genus, r", [(2, 11), (2, 12), (3, 5)])
 def test_handle_engine_matches_tuple_bfs_above_the_tables(genus, r):
     # 73,205, 103,680 and 125,000 cells, past the tables' bound; at (2, 12)
@@ -295,18 +269,42 @@ def test_handle_engine_matches_tuple_bfs_above_the_tables(genus, r):
     assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, standard)
 
 
+def _flip_handle_parity(monkeypatch, pairs):
+    """Flip the parity that the handle engine reads on Z_2^2 at ``pairs``, and
+    return the least representative among the orbits of (2, 2) that hold a
+    state whose parity this changes (one with an odd number of handles at a
+    flipped pair), as the tuple BFS finds them."""
+    parity = orbits._parity
+
+    def flipped(digits, genus):
+        assert genus == 1  # the engine reads no other parity
+        return parity(digits, genus) ^ reduce(
+            np.logical_or, [(digits[0] == s) & (digits[1] == t) for s, t in pairs])
+
+    standard = [(g.family, g.index, g.power) for g in standard_generators(2)]
+    changed = {x for x in product(range(2), repeat=4) if ((x[:2] in pairs) + (x[2:] in pairs)) % 2}
+    holding = [start for start, _ in bfs_partition(2, 2, standard) if bfs_orbit(start, 2, standard) & changed]
+    monkeypatch.setattr(orbits, "_parity", flipped)
+    return min(holding)
+
+
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_both_engines_check_every_state_label(monkeypatch, engine):
     # flip the parity at (1, 1, 1, 1) alone, a member of the all-zero orbit
-    # of (2, 2) but not its least one
-    parity = orbits._invariant(2, 2)
+    # of (2, 2) but not its least one.  The handle engine checks classes: flip
+    # the pair (1, 1), whose class {(0, 1), (1, 0), (1, 1)} then holds both
+    # parities, as do the product classes with a handle in it
+    if engine is orbits._orbits_by_handles:
+        assert _flip_handle_parity(monkeypatch, [(1, 1)]) == (0, 0, 0, 0)
+    else:
+        parity = orbits._invariant(2, 2)
 
-    def flipped(r, genus):
-        # digits may broadcast against each other rather than share one shape
-        return lambda digits: parity(digits) ^ reduce(np.logical_and, [d == 1 for d in digits])
+        def flipped(r, genus):
+            # digits may broadcast against each other rather than share one shape
+            return lambda digits: parity(digits) ^ reduce(np.logical_and, [d == 1 for d in digits])
 
-    monkeypatch.setattr(orbits, "_invariant", flipped)
-    with pytest.raises(RuntimeError, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
+        monkeypatch.setattr(orbits, "_invariant", flipped)
+    with pytest.raises(MixedOrbit, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
         _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
@@ -318,16 +316,22 @@ def test_both_engines_check_every_state_label(monkeypatch, engine):
 def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, rep):
     # (0, 0, 1, 1) lies in the later, odd orbit of (2, 2), whose least member
     # is (0, 0, 0, 1); with a mismatch in both orbits the earlier one is named,
-    # even when a block of 4 states finds the later one first
-    parity = orbits._invariant(2, 2)
+    # even when a block of 4 states finds the later one first.  The handle
+    # engine flips the first pair of each state instead: (0, 0) is a class of
+    # its own, whose one parity is then wrong in the odd orbit alone, and
+    # (1, 1) adds a class with both parities to the even orbit
+    if engine is orbits._orbits_by_handles:
+        assert _flip_handle_parity(monkeypatch, [x[:2] for x in flips]) == tuple(map(int, rep.split(", ")))
+    else:
+        parity = orbits._invariant(2, 2)
 
-    def flipped(r, genus):
-        return lambda digits: parity(digits) ^ reduce(
-            np.logical_or, [reduce(np.logical_and, [d == c for d, c in zip(digits, x)]) for x in flips])
+        def flipped(r, genus):
+            return lambda digits: parity(digits) ^ reduce(
+                np.logical_or, [reduce(np.logical_and, [d == c for d, c in zip(digits, x)]) for x in flips])
 
-    monkeypatch.setattr(orbits, "_invariant", flipped)
+        monkeypatch.setattr(orbits, "_invariant", flipped)
     monkeypatch.setattr(orbits, "_CHUNK", 4)
-    with pytest.raises(RuntimeError, match=rf"the orbit of \({rep}\) mixes canonical forms"):
+    with pytest.raises(MixedOrbit, match=rf"the orbit of \({rep}\) mixes canonical forms"):
         _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
@@ -359,17 +363,9 @@ def test_single_twist_orbits_match_tuple_bfs():
         for gen in standard_generators(genus):
             for m in (1, 2, -3):
                 letter = (gen.family, gen.index, m)
-                for coords in product(range(r), repeat=2 * genus):
-                    orbit = orbit_of(RootTuple(r, coords), generators=[TwistGenerator(*letter)])
-                    assert {t.coords for t in orbit} == bfs_orbit(coords, r, [letter])
-
-
-def test_partition_uses_the_given_generators():
-    ctx = solve_raymond_vasquez(genus_one_signature(4), 4)
-    assert len(partition_orbits(ctx).orbits) == 3
-    # u_1 alone fixes (0, 1) and (0, 3), two orbits with the same label
-    with pytest.raises(ValueError):
-        partition_orbits(ctx, generators=[TwistGenerator("U", 1)])
+                records = orbits._orbits_by_levels(r, genus, orbits._moves([TwistGenerator(*letter)], r))
+                assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(
+                    r, genus, [letter]), letter
 
 
 def test_partition_ignores_cone_data():
@@ -391,6 +387,21 @@ def test_even_order_closed_form_counts_theta_characteristics():
         for r in (2, 4, 6):
             lifts = (r // 2) ** (2 * genus)
             assert orbit_count_closed_form(genus, r) == (lifts * by_parity[0], lifts * by_parity[1])
+
+
+@pytest.mark.parametrize("genus, r", [(2, 2), (3, 6), (4, 9), (5, 64), (2, 215)])
+def test_parity_is_the_xor_of_its_handles(genus, r):
+    # the per-class label check of the handle engine rests on this
+    rng = np.random.default_rng(1000 * genus + r)
+    rows = rng.integers(0, r, size=(2 * genus, 500))
+    for digits in (rows.astype(np.int32), rows.astype(np.int64), rows.T.tolist()[:20]):
+        if isinstance(digits, list):  # tuples of Python ints, one at a time
+            for x in digits:
+                assert _parity(x, genus) == reduce(xor, [_parity(x[2 * h:], 1) for h in range(genus)])
+            continue
+        per_handle = reduce(np.bitwise_xor, [_parity(digits[2 * h:], 1) for h in range(genus)])
+        assert digits.dtype == _parity(digits, genus).dtype == per_handle.dtype
+        assert np.array_equal(_parity(digits, genus), per_handle)
 
 
 def test_state_dtype_boundaries():
@@ -460,8 +471,9 @@ def test_search_peak_memory_per_state():
 
 def test_handle_engine_peak_memory():
     # one handle's arrays of r^2 entries, d(r)^g product classes and one
-    # block of at most 2^15 states: about 1 MB at (2, 31), (2, 32) and (3, 8),
-    # against 4.2 B/state, 3.9 MB, for the search at (2, 31)
+    # block of at most 2^15 states of Z_r^4: 1.1 MB at (2, 31), 1.6 MB at
+    # (2, 32) and 0.15 MB at (3, 8), against 4.2 B/state, 3.9 MB, for the
+    # search at (2, 31)
     import tracemalloc
 
     for genus, r in [(2, 31), (2, 32), (3, 8)]:
@@ -473,6 +485,14 @@ def test_handle_engine_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 2 << 20, (genus, r, peak)
+
+
+def test_handle_engine_checks_labels_past_the_states():
+    # 2^48 states at even r: a label check that read every state could not
+    # finish, so this space is reachable only through the check on classes
+    partition = partition_orbits(context_for(4, 64), cap=None)
+    assert partition.sizes() == orbit_count_closed_form(4, 64)
+    assert [rec.label.kind for rec in partition.orbits] == ["all_zero", "last_one"]
 
 
 def test_handle_engine_counts_past_int64():

@@ -3,13 +3,15 @@
 For every (g, r) with r^{2g} <= 2^16 (genus 0 up to r = 64; 355 pairs), and
 for the five genus >= 2 spaces of the benchmark's ``orbits`` workload
 ((2, 18), (2, 21), (2, 31), (3, 7), (3, 8): 1.0e5 to 9.2e5 states), the
-sha256 of ``partition_orbits(...).to_json()``, serialised with sorted keys,
-is stored in ``partition_golden.json`` under the unit twists ("unit") and
-under the powers {2, -3} of every unit twist ("powers").  The file also
-stores the cone multiplicities of one signature admitting each order, so
-the test solves its contexts without a search; a partition reads only
-(g, r).  A change that alters a partition on
-purpose regenerates the file with
+sha256 of the partition's ``to_json()``, serialised with sorted keys, is
+stored in ``partition_golden.json`` under the unit twists ("unit", from
+``partition_orbits``) and under the powers {2, -3} of every unit twist
+("powers", from the engines directly, since ``partition_orbits`` acts by
+the unit twists alone).  Both sets generate the same group, so each
+"powers" digest equals its "unit" digest.  The file also stores the cone
+multiplicities of one signature admitting each order, so the test solves
+its contexts without a search; a partition reads only (g, r).  A change
+that alters a partition on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_partition_golden.py
 
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from orbispin import OrbifoldSignature, TwistGenerator, partition_orbits, solve_raymond_vasquez, standard_generators
+from orbispin import OrbifoldSignature, OrbitPartition, TwistGenerator, partition_orbits, solve_raymond_vasquez
+from orbispin import orbits
 from helpers import context_for
 
 GOLDEN = Path(__file__).with_name("partition_golden.json")
@@ -31,16 +34,21 @@ PAIRS = [(g, r) for g in range(9) for r in range(1, 257) if r ** (2 * g) <= 1 <<
 WORKLOAD_PAIRS = [(2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
 
 
-def generator_sets(genus):
-    unit = standard_generators(genus)
-    return {"unit": unit, "powers": [TwistGenerator(g.family, g.index, m) for g in unit for m in (2, -3)]}
+def powers_partition(ctx):
+    """The partition under the powers {2, -3} of every unit twist, by the
+    engine the size rule of ``partition_orbits`` picks for any move set:
+    the tables up to ``_TABLE_CELLS``, else the breadth-first search."""
+    r, genus = ctx.order, ctx.genus
+    moves = orbits._moves([TwistGenerator(g.family, g.index, m)
+                           for g in orbits.standard_generators(genus) for m in (2, -3)], r)
+    engine = orbits._orbits_by_tables if r ** (2 * genus) * len(moves) <= orbits._TABLE_CELLS else orbits._orbits_by_levels
+    return OrbitPartition(r, genus, tuple(engine(r, genus, moves)))
 
 
 def digests(ctx):
     out = {}
-    for name, gens in generator_sets(ctx.genus).items():
-        data = partition_orbits(ctx, generators=gens).to_json()
-        out[name] = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    for name, partition in (("unit", partition_orbits(ctx)), ("powers", powers_partition(ctx))):
+        out[name] = hashlib.sha256(json.dumps(partition.to_json(), sort_keys=True).encode()).hexdigest()
     return out
 
 
