@@ -70,11 +70,17 @@ class OrbifoldSignature:
         return len(self.cone_multiplicities)
 
     @cached_property
-    def _chi(self) -> Fraction:
-        # one Fraction over the product of the multiplicities, made on first use
+    def _product_chi(self) -> int:
+        # P chi for P the product of the multiplicities: P / alpha_j is an
+        # integer, so P clears every denominator of chi
         product = prod(self.cone_multiplicities)
-        numerator = (2 - 2 * self.genus - self.num_cone_points) * product
-        return Fraction(numerator + sum(product // a for a in self.cone_multiplicities), product)
+        return (2 - 2 * self.genus - self.num_cone_points) * product + sum(
+            product // a for a in self.cone_multiplicities)
+
+    @cached_property
+    def _chi(self) -> Fraction:
+        # one Fraction, made on first use
+        return Fraction(self._product_chi, prod(self.cone_multiplicities))
 
     def to_json(self) -> dict[str, Any]:
         return {"genus": self.genus, "cone_points": list(self.cone_multiplicities)}
@@ -95,25 +101,24 @@ def chi_orb(sig: OrbifoldSignature) -> Fraction:
 
 
 def is_hyperbolic(sig: OrbifoldSignature) -> bool:
-    return chi_orb(sig) < 0
+    return sig._product_chi < 0  # chi < 0, as the product of the multiplicities is positive
 
 
 def assert_hyperbolic(sig: OrbifoldSignature) -> None:
     """Raise :class:`NotHyperbolic` unless chi(sig) < 0."""
-    chi = chi_orb(sig)
-    if chi >= 0:
-        raise NotHyperbolic(chi)
+    if sig._product_chi >= 0:
+        raise NotHyperbolic(chi_orb(sig))
 
 
 def multiplicity_product_chi(sig: OrbifoldSignature) -> int:
-    """The integer alpha_1 * ... * alpha_n * chi (empty product = 1).
+    """The integer alpha_1 * ... * alpha_n * chi (empty product = 1),
+    computed once per signature object.
 
     Expanding the formula for chi shows the product clears every
-    denominator, so the result is an exact integer; this is asserted.
+    denominator: it is (2 - 2g - n) prod_j alpha_j + sum_j prod_{i != j}
+    alpha_i, summed in integers with no Fraction.
     """
-    value = prod(sig.cone_multiplicities) * chi_orb(sig)
-    assert value.denominator == 1, f"expected an integer, got {value}"
-    return value.numerator
+    return sig._product_chi
 
 
 def root_order_admissible(sig: OrbifoldSignature, r: int) -> bool:

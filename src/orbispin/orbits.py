@@ -82,12 +82,18 @@ from its orbit's label, as a class holding two values always does; the
 error names the least representative among the orbits that hold a failing
 class.
 
-``partition_orbits`` is the one place that picks an engine.  It chooses
-the tables when states x distinct moves is at most ``_TABLE_CELLS`` = 2^16,
-so its tables take at most 512 KB.  Above that, genus >= 2 goes handle by
-handle and genus 1 to the search.  The tables take 1,227 of the 1,266
-contexts of the benchmark's census, and the handles the other 39, at
-(2, 11) and (3, 5).
+``partition_orbits`` is the one place that picks an engine.  A space of
+one state (r = 1, or genus 0) needs none: its one orbit is the zero tuple,
+labelled by that tuple's canonical form, and numpy is not imported.  Else
+it chooses the tables when states x distinct moves is at most
+``_TABLE_CELLS`` = 2^16 at genus 1, so its tables take at most 512 KB,
+and at most ``_HANDLE_CELLS`` = 2^13 at genus >= 2, where the two engines
+cross (tables vs handles, best of 21 x 20 calls: (4, 2) 0.21 vs 0.23 ms,
+(2, 6) 0.22 vs 0.21, (2, 7) 0.28 vs 0.21, (3, 4) 0.78 vs 0.23).  Above
+that, genus >= 2 goes handle by handle and genus 1 to the search.
+Of the 1,266 contexts of the benchmark's census, 731 have one state (237
+at genus 0, whose census runs no partition, and 494 at r = 1), the tables
+take 442 and the handles 93, at (2, 7) to (2, 11), (3, 4) and (3, 5).
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -175,9 +181,13 @@ _Move = tuple[str, int, int]
 # states decoded at a time: bounds the digit and image arrays of one step
 _CHUNK = 1 << 15
 
-# the largest table size (states x distinct moves) searched by image tables;
-# larger spaces go handle by handle or to the breadth-first search
+# the largest table size (states x distinct moves) searched by image tables at
+# genus 1; larger spaces go to the breadth-first search
 _TABLE_CELLS = 1 << 16
+
+# the same at genus >= 2, where larger spaces go handle by handle: the two
+# engines cost about the same at (2, 6) and (3, 3), and the handles win above
+_HANDLE_CELLS = 1 << 13
 
 # the invariant value of a class whose states have two values; no label has it
 _BOTH = -1
@@ -207,6 +217,14 @@ def _moves(gens: Iterable[TwistGenerator], r: int) -> tuple[_Move, ...]:
     """The distinct (family, 0-based index, power mod r) moves of ``gens``;
     a power divisible by r acts trivially and is dropped."""
     return tuple(dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r))
+
+
+def _unit_moves(r: int, genus: int) -> tuple[_Move, ...]:
+    """``_moves(standard_generators(genus), r)``, built without the generators."""
+    if r == 1:
+        return ()
+    return tuple((family, i, 1) for i in range(genus) for family in "UV") + tuple(
+        ("W", i, 1) for i in range(genus - 1))
 
 
 def _image(states: np.ndarray, digits: list, r: int, w: list[int], move: _Move) -> np.ndarray:
@@ -256,7 +274,7 @@ def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTu
     import numpy as np
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
-    moves = _moves(standard_generators(g), r)
+    moves = _unit_moves(r, g)
     seed = sum(c * w for c, w in zip(root.coords, _weights(r, g)))
     levels = _levels(seed, np.zeros(total, dtype=bool), r, g, moves)
     chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
@@ -273,8 +291,11 @@ def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> O
     """
     r, genus = ctx.order, ctx.genus
     total = _check_state_count(r, genus, cap)
-    moves = _moves(standard_generators(genus), r)
-    if total * len(moves) <= _TABLE_CELLS:
+    if total == 1:  # r = 1 or genus 0: the zero tuple is the one state and its orbit
+        rep, label = _head(0, r, genus)
+        return OrbitPartition(r, genus, (OrbitRecord(rep, 1, label),))
+    moves = _unit_moves(r, genus)
+    if total * len(moves) <= (_TABLE_CELLS if genus == 1 else _HANDLE_CELLS):
         records = _orbits_by_tables(r, genus, moves)
     elif genus >= 2:
         records = _orbits_by_handles(r, genus)
@@ -285,7 +306,7 @@ def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> O
 
 def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
     """The representative and label of the orbit whose least member is ``seed``."""
-    rep = RootTuple(r, _digits(seed, r, 2 * genus))
+    rep = RootTuple._trusted(r, tuple(_digits(seed, r, 2 * genus)))
     return rep, canonical_form(rep)
 
 
@@ -318,7 +339,7 @@ def _least_labels(least: np.ndarray, pulls: list[Callable[[np.ndarray], None]]) 
         for pull in pulls:
             pull(least)
         least = least[least]
-        if np.array_equal(least, before):
+        if (least == before).all():
             return least
 
 
@@ -369,7 +390,7 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     # 1. the classes of a handle's pairs (s, t), packed as s r + t, under its
     # U and V: least members, each pair's class, the class sizes and how many
     # of a class's pairs have odd parity
-    pairs, least = _least_members(r, 1, _moves(standard_generators(1), r))
+    pairs, least = _least_members(r, 1, _unit_moves(r, 1))
     members = np.flatnonzero(least == np.arange(r * r))
     class_of, sizes = np.searchsorted(members, least), np.bincount(least)[members]
     odd = np.bincount(class_of[_parity(pairs, 1) == 1], minlength=members.size)

@@ -32,7 +32,7 @@ from math import prod
 from typing import Any
 
 from .errors import InadmissibleOrder, NotSL2Quotient
-from .orbifold import OrbifoldSignature, _as_int, _json_object, assert_hyperbolic, chi_orb, root_order_admissible
+from .orbifold import OrbifoldSignature, _as_int, _json_object, assert_hyperbolic, root_order_admissible
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,16 @@ class SeifertInvariants:
     def base_signature(self) -> OrbifoldSignature:
         return OrbifoldSignature(self.genus, tuple(a for a, _ in self.multiple_fibres))
 
+    def _minus_euler_product(self) -> int:
+        """-e P = b P + sum_j beta_j P / alpha_j, an integer, for P the product
+        of the multiplicities."""
+        product = prod(a for a, _ in self.multiple_fibres)
+        return self.obstruction * product + sum(b * (product // a) for a, b in self.multiple_fibres)
+
     @cached_property
     def _euler(self) -> Fraction:
-        # one Fraction over the product of the multiplicities, made on first use
-        product = prod(a for a, _ in self.multiple_fibres)
-        numerator = self.obstruction * product + sum(b * (product // a) for a, b in self.multiple_fibres)
-        return Fraction(-numerator, product)
+        # one Fraction, made on first use
+        return Fraction(-self._minus_euler_product(), prod(a for a, _ in self.multiple_fibres))
 
     def euler_number(self) -> Fraction:
         """e = -(b + sum_j beta_j / alpha_j), exact; computed once per object."""
@@ -108,9 +112,11 @@ class RootContext:
         pairs = tuple((a, -pow(r, -1, a) % a) for a in sig.cone_multiplicities)
         ks = tuple((r * beta - a + 1) // a for a, beta in pairs)
         inv = SeifertInvariants(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
-        e = inv.euler_number()
-        if r * e != chi_orb(sig):  # given the fibre relations, the same as r*b = 2g-2 - sum(k_j)
+        # r*e = chi times the product P of the multiplicities, in integers; given
+        # the fibre relations, the same as r*b = 2g-2 - sum(k_j)
+        if -r * inv._minus_euler_product() != sig._product_chi:
             raise RuntimeError(f"identity r*e = chi fails for {sig.to_json()} at r = {r}")
+        e = inv.euler_number()
         for name, value in {"order": r, "invariants": inv, "twist_integers": ks, "euler_number": e}.items():
             object.__setattr__(self, name, value)
 
@@ -165,13 +171,13 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     """
     sig = inv.base_signature()
     assert_hyperbolic(sig)
-    e = inv.euler_number()
-    if e >= 0:
-        raise NotSL2Quotient(f"Euler number {e} is not negative")
-    ratio = chi_orb(sig) / e
-    if ratio.denominator != 1 or ratio <= 0:
-        raise NotSL2Quotient(f"chi/e = {ratio} is not a positive integer")
-    r = int(ratio)
+    # over the product P of the multiplicities, -e P > 0 and P chi < 0 are integers
+    minus_euler = inv._minus_euler_product()
+    if minus_euler <= 0:
+        raise NotSL2Quotient(f"Euler number {inv.euler_number()} is not negative")
+    r, rem = divmod(-sig._product_chi, minus_euler)  # chi/e
+    if rem or r <= 0:
+        raise NotSL2Quotient(f"chi/e = {Fraction(-sig._product_chi, minus_euler)} is not a positive integer")
     for a, beta in inv.multiple_fibres:
         if (r * beta - a + 1) % a:
             raise NotSL2Quotient(

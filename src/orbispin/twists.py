@@ -36,6 +36,7 @@ letters twist along the same curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 from typing import Any, Iterable
 
@@ -100,7 +101,7 @@ class TwistWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", tuple(self.word))
-        if not all(isinstance(gen, TwistGenerator) for gen in self.word):
+        if not all(map(isinstance, self.word, repeat(TwistGenerator))):
             raise ValueError("twist word letters must be TwistGenerator instances")
 
     def __len__(self) -> int:
@@ -150,12 +151,6 @@ def _parity(digits, genus: int):
     return sum((digits[2 * i] + 1) * (digits[2 * i + 1] + 1) for i in range(genus)) & 1
 
 
-def _apply_inplace(coords: list, r: int, family: str, index: int, power: int) -> None:
-    # callers check the index; a power acts only through its value mod r
-    for slot, value in _twist(coords, r, family, index - 1, power % r):
-        coords[slot] = value % r
-
-
 def apply_generator(root: RootTuple, gen: TwistGenerator) -> RootTuple:
     """Act on a root tuple by one (power of a) basic Dehn twist."""
     return apply_word(root, (gen,))
@@ -168,9 +163,12 @@ def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> R
     r, genus = root.order, root.genus
     limits = _index_limits(genus)
     for gen in word.word:
-        if not 1 <= gen.index <= limits[gen.family]:
-            _check_index(gen.family, gen.index, genus)  # raises, naming the letter
-        _apply_inplace(coords, r, gen.family, gen.index, gen.power)
+        family, index = gen.family, gen.index
+        if not 1 <= index <= limits[family]:
+            _check_index(family, index, genus)  # raises, naming the letter
+        # a power acts only through its value mod r
+        for slot, value in _twist(coords, r, family, index - 1, gen.power % r):
+            coords[slot] = value % r
     return RootTuple._trusted(r, tuple(coords))
 
 
@@ -322,7 +320,8 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
         # the action of a power only depends on it mod r and powers of one
         # twist add, so keep words short: fold each letter into an
         # equal-twist predecessor and drop letters that vanish mod r
-        _apply_inplace(state, r, family, index, power)
+        for slot, value in _twist(state, r, family, index - 1, power % r):
+            state[slot] = value % r
         if word and word[-1][:2] == (family, index):
             power += word.pop()[2]
         power = _signed_residue(power, r)

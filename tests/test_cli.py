@@ -290,7 +290,8 @@ def test_json_outputs_round_trip_through_their_schemas(capsys):
     assert RootContext.from_json(data["context"]).order == 2
 
 
-# every call here is answered by closed forms; the last one searches
+# every call here is answered by closed forms, the census of a one-state
+# space included; the last one searches
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import orbispin, orbispin.cli
@@ -310,7 +311,7 @@ def test_only_a_search_loads_numpy():
         ["chi", SIG_237], ["roots", SIG_G2], ["solve", SIG_G1C3, "2", "--json"],
         ["recognize", '{"genus":2,"b":1,"pairs":[[3,1]]}'], ["enumerate", SIG_G1C3, "2"],
         ["twist", SIG_G1C3, "2", "0,1", word], ["reduce", SIG_G2, "2", "1,1,0,1"],
-        ["present", SIG_G1C3, "2", "0,0"], ["moduli", SIG_237, "1"],
+        ["present", SIG_G1C3, "2", "0,0"], ["moduli", SIG_237, "1"], ["moduli", SIG_G2, "1"],
         ["moduli", SIG_G2, "2", "--cap", "15"], ["orbits", SIG_G2, "2"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(orbispin.__file__).parents[1]))

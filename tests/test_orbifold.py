@@ -61,7 +61,7 @@ def test_multiplicity_product_chi_examples():
 
 
 def test_product_chi_is_integer_on_grid():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=3, max_multiplicity=7):
+    for sig in hyperbolic_grid(max_genus=3, max_cones=3, max_multiplicity=7):
         product = 1
         for a in sig.cone_multiplicities:
             product *= a

@@ -15,6 +15,7 @@ from orbispin import (
     OrbitPartition,
     RootTuple,
     TwistGenerator,
+    canonical_form,
     divisors,
     genus_one_orbit_size,
     orbit_count_closed_form,
@@ -213,8 +214,9 @@ def test_partition_matches_tuple_bfs():
         assert _records(partition) == bfs_partition(r, genus, standard), (genus, r)
 
 
-# 50,000 and 73,205 table cells (states x moves), either side of the engine choice
-_BOUNDARY = [(2, 10), (2, 11)]
+# 65,522 and 66,248 table cells (states x moves), either side of the engine
+# choice at genus 1; genus >= 2 crosses its bound within _SMALL, at (2, 6) and (2, 7)
+_BOUNDARY = [(1, 181), (1, 182)]
 _ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels, orbits._orbits_by_handles]
 
 
@@ -225,7 +227,8 @@ def _run(engine, r, genus, moves):
 
 @pytest.mark.parametrize("powers", [(1,), (2, -3)])
 def test_both_engines_match_tuple_bfs(powers):
-    assert 10**4 * 5 <= orbits._TABLE_CELLS < 11**4 * 5
+    assert 181**2 * 2 <= orbits._TABLE_CELLS < 182**2 * 2
+    assert 6**4 * 5 <= orbits._HANDLE_CELLS < 7**4 * 5
     for genus, r in _SMALL + _BOUNDARY:
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
         moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
@@ -236,27 +239,44 @@ def test_both_engines_match_tuple_bfs(powers):
             assert [(rec.representative.coords, rec.size) for rec in records] == expected, (engine, genus, r)
 
 
+def test_unit_moves_are_the_standard_generators_moves():
+    for genus in range(6):
+        for r in range(1, 9):
+            assert orbits._unit_moves(r, genus) == orbits._moves(standard_generators(genus), r), (genus, r)
+
+
 def _refuse(*args):
     raise AssertionError("another engine was chosen")
 
 
 def test_engine_choice_follows_table_size(monkeypatch):
-    # at most 2^16 cells (states x moves) go to the tables; above that, genus
-    # >= 2 goes handle by handle and genus 1 to the breadth-first search:
-    # (2, 10) has 50,000 cells, (2, 11) 73,205 and (1, 182) 66,248
+    # at genus >= 2 at most 2^13 cells (states x moves) go to the tables and
+    # larger spaces handle by handle: (2, 6) has 6,480 cells, (2, 7) 12,005,
+    # (3, 3) 5,832 and (3, 4) 32,768.  At genus 1 at most 2^16 cells go to the
+    # tables and larger spaces to the breadth-first search: (1, 181) has
+    # 65,522 and (1, 182) 66,248.  A space of one state (r = 1, or genus 0)
+    # runs no engine at all
     engines = {"_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles"}
-    for genus, r, engine in [(2, 10, "_orbits_by_tables"), (2, 11, "_orbits_by_handles"),
-                             (1, 182, "_orbits_by_levels")]:
+    for genus, r, engine in [(2, 6, "_orbits_by_tables"), (2, 7, "_orbits_by_handles"),
+                             (3, 3, "_orbits_by_tables"), (3, 4, "_orbits_by_handles"),
+                             (1, 181, "_orbits_by_tables"), (1, 182, "_orbits_by_levels"),
+                             (1, 1, None), (3, 1, None), (0, 5, None)]:
         with monkeypatch.context() as patch:
             for other in engines - {engine}:
                 patch.setattr(orbits, other, _refuse)
             partition = partition_orbits(context_for(genus, r))
-        if genus == 1:
+        if engine is None:
+            zero = RootTuple(r, (0,) * (2 * genus))
+            assert [(rec.representative, rec.size, rec.label) for rec in partition.orbits] == [
+                (zero, 1, canonical_form(zero))]
+        elif genus == 1:
             sizes = {rec.label.d: rec.size for rec in partition.orbits}
             assert sizes == {d: genus_one_orbit_size(r, d) for d in divisors(r)}
-        else:
-            expected = orbit_count_closed_form(genus, r)
-            assert partition.sizes() == (expected if isinstance(expected, tuple) else (expected,))
+        elif r % 2:
+            assert partition.sizes() == (orbit_count_closed_form(genus, r),)
+        else:  # the closed form is indexed by parity: (even, odd)
+            sizes = {rec.label.invariant: rec.size for rec in partition.orbits}
+            assert sizes == dict(enumerate(orbit_count_closed_form(genus, r)))
 
 
 @pytest.mark.parametrize("genus, r", [(2, 11), (2, 12), (3, 5)])

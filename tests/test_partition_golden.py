@@ -36,8 +36,10 @@ WORKLOAD_PAIRS = [(2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
 
 def powers_partition(ctx):
     """The partition under the powers {2, -3} of every unit twist, by the
-    engine the size rule of ``partition_orbits`` picks for any move set:
-    the tables up to ``_TABLE_CELLS``, else the breadth-first search."""
+    engines that take any move set, split as ``partition_orbits`` splits
+    genus 1: the tables up to ``_TABLE_CELLS`` cells, else the breadth-first
+    search.  (``partition_orbits`` sends genus >= 2 above ``_HANDLE_CELLS``
+    handle by handle, an engine that acts by the unit twists alone.)"""
     r, genus = ctx.order, ctx.genus
     moves = orbits._moves([TwistGenerator(g.family, g.index, m)
                            for g in orbits.standard_generators(genus) for m in (2, -3)], r)

@@ -11,6 +11,7 @@ from orbispin import (
     SeifertInvariants,
     admissible_root_orders,
     chi_orb,
+    multiplicity_product_chi,
     recognize_fibre_index,
     root_order_admissible,
     solve_raymond_vasquez,
@@ -108,6 +109,21 @@ def test_recognize_rejects_a_failed_fibre_relation():
     # odd, so fibre (2, 1) fails r*beta = alpha - 1 + k*alpha
     with pytest.raises(NotSL2Quotient, match=r"\(2, 1\)"):
         recognize_fibre_index(SeifertInvariants(1, -1, ((2, 1), (6, 4))))
+
+
+def test_context_checks_r_times_e_equals_chi(monkeypatch):
+    # no input reaches this check: break either side of -r (-e P) = P chi,
+    # P the product of the multiplicities, and the context refuses itself
+    sig = OrbifoldSignature(2, (3,))
+    minus_euler_product = SeifertInvariants._minus_euler_product
+    with monkeypatch.context() as patch:
+        patch.setattr(SeifertInvariants, "_minus_euler_product", lambda inv: minus_euler_product(inv) + 1)
+        with pytest.raises(RuntimeError, match=r"identity r\*e = chi fails .* at r = 2"):
+            RootContext(sig, 2)
+    # 2 P chi stays negative and even, so the order 2 stays admissible
+    monkeypatch.setitem(sig.__dict__, "_product_chi", 2 * multiplicity_product_chi(sig))
+    with pytest.raises(RuntimeError, match=r"identity r\*e = chi fails .* at r = 2"):
+        RootContext(sig, 2)
 
 
 def test_equivalence_of_admissibility_solver_and_search():
@@ -234,6 +250,7 @@ def test_chi_and_euler_number_equal_term_by_term_sums():
 def test_cached_chi_and_euler_number_leave_equality_hash_repr_and_json_alone():
     for make, compute in [
         (lambda: OrbifoldSignature(2, (3, 5)), chi_orb),
+        (lambda: OrbifoldSignature(2, (3, 5)), multiplicity_product_chi),
         (lambda: SeifertInvariants(2, -1, ((3, 2), (5, 1))), SeifertInvariants.euler_number),
     ]:
         used, fresh = make(), make()
