@@ -57,9 +57,16 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2. An orbit is a union of product classes.  An edge of W_h changes only
    the classes of handles h and h + 1, whatever the others are, as W_1
    does those of handles 1 and 2, so every W_h joins the same class pairs:
-   those W_1 joins on Z_r^4, found once, in blocks of at most ``_CHUNK``
-   states, by propagation along its edges.  The orbits are the join of
-   this partition tensored with the identity at each of the g - 1 places.
+   those W_1 joins on Z_r^4, found once.  W_1 fixes s_1 and s_2, and
+   omega = s_1 - s_2 + 1 reads no t, so its new t_1 reads only (s_1, s_2,
+   t_1) and its new t_2 only (s_1, s_2, t_2): on a row (s_1, s_2) its
+   class-pair edges are the product of each handle's (class before, class
+   after) pairs, and their union over the r^2 rows is its edges on Z_r^4.
+   One pass over the r^3 cells of (s_1, s_2, t), t for both t_1 and t_2,
+   in slabs of s_1 of at most max(r^2, ``_CHUNK``) cells, marks each
+   handle's pairs per row, and a bool matrix product collects the edges,
+   along which propagation gives the partition.  The orbits are the join
+   of it tensored with the identity at each of the g - 1 places.
 3. Class ids are ranked by least member and a product class is packed in
    their mixed radix, so index order is the order of least members.  Its
    least member and size come from its handles' by outer products.
@@ -69,9 +76,9 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    class one parity or both, and a product class has the XOR of its
    handles' parities, or both as soon as one of its handles' classes has
    both; outer products give these too.  Memory is one handle's arrays of
-   r^2 entries, d(r)^g product classes and one block of Z_r^4: a traced
-   peak of 1.1-1.7 MB at (2, 31), (2, 32), (2, 64) and (3, 16), and 0.15
-   MB at (3, 8) and (4, 8).
+   r^2 entries, d(r)^g product classes, one slab's arrays and d(r)^4
+   bools: a traced peak of 1.0-1.4 MB at (2, 31), (2, 32), (2, 64) and
+   (2, 100), and 0.2 MB or less at (3, 8), (3, 16) and (4, 8).
 
 The tables and the handles end in one tail (``_records``), over classes of
 states ranked by least member; for the tables every state is its own
@@ -112,7 +119,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from typing import Any, Callable, Iterable
 
 from .errors import MixedOrbit
@@ -178,7 +184,7 @@ def standard_generators(genus: int) -> tuple[TwistGenerator, ...]:
 # (family, 0-based index, power in [1, r)): one generator power acting on Z_r^{2g}
 _Move = tuple[str, int, int]
 
-# states decoded at a time: bounds the digit and image arrays of one step
+# states decoded at a time, or cells in one slab of the W join: bounds the arrays of one step
 _CHUNK = 1 << 15
 
 # the largest table size (states x distinct moves) searched by image tables at
@@ -397,18 +403,24 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     count = members.size
     total = count**genus
 
-    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4
-    joined = np.arange(count * count)
-    for digits in _blocks(r, 4):
-        moved = list(digits)
-        for slot, value in _twist(digits, r, "W", 0, 1):
-            moved[slot] = _mod(value, r)
-        src, dst = (class_of[d[0] * r + d[1]] * count + class_of[d[2] * r + d[3]] for d in (digits, moved))
-        edge = src != dst
-        a, b = joined[src[edge]], joined[dst[edge]]
-        cross = a != b
-        if cross.any():
-            joined = _least_labels(joined, [_pull_both_ways(a[cross], b[cross])])
+    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4: per
+    # slab of s_1 on the grid (s_1, s_2, t), shown[h, row, (a, a')] marks handle h + 1's
+    # class moves on a row (s_1, s_2) and met[(a, a'), (b, b')] collects their products;
+    # a slab is one s_1 of r^2 cells past r^2 = _CHUNK
+    cells = count * count
+    met = np.zeros((cells, cells), dtype=bool)
+    t, step = np.arange(r), max(1, _CHUNK // (r * r))
+    s2 = t[:, None]
+    for start in range(0, r, step):
+        s1 = np.arange(start, min(start + step, r))[:, None, None]
+        moved = dict(_twist([s1, t, s2, t], r, "W", 0, 1))
+        shown = np.zeros((2, s1.size * r, cells), dtype=bool)
+        row = np.arange(s1.size * r).reshape(s1.size, r, 1)
+        for h, s in enumerate((s1, s2)):
+            shown[h, row, class_of[s * r + t] * count + class_of[s * r + _mod(moved[2 * h + 1], r)]] = True
+        met |= shown[0].T @ shown[1]
+    src, dst = np.nonzero(met.reshape((count,) * 4).transpose(0, 2, 1, 3).reshape(cells, cells))
+    joined = _least_labels(np.arange(cells), [_pull_both_ways(src, dst)])
 
     # 3. the join of that partition at each pair of handles (h, h + 1): an edge from each
     # product class (class ids big-endian in base count) to the one with joined's label there
@@ -454,25 +466,6 @@ def _records(r: int, genus: int, least: np.ndarray, members: np.ndarray, sizes: 
         counts = np.zeros(least.size, dtype=sizes.dtype)
         np.add.at(counts, least, sizes)
     return [OrbitRecord(rep, size, label) for (rep, label), size in zip(heads, counts[seeds].tolist())]
-
-
-def _blocks(r: int, count: int):
-    """Every tuple of Z_r^count, at most ``_CHUNK`` at a time, in order, as
-    ``count`` digits that broadcast against each other: a block fixes its
-    leading digits as ints, takes a run of values of the next one, and every
-    value of the rest, so each digit's array holds at most r entries."""
-    import numpy as np
-    free = 0
-    while free < count and r ** (free + 1) <= _CHUNK:
-        free += 1
-    tail = [np.arange(r).reshape((-1,) + (1,) * (free - 1 - a)) for a in range(free)]
-    if free == count:
-        yield tail
-        return
-    step = _CHUNK // r**free
-    for head in product(range(r), repeat=count - free - 1):
-        for start in range(0, r, step):
-            yield [*head, np.arange(start, min(start + step, r)).reshape((-1,) + (1,) * free), *tail]
 
 
 def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] | None:

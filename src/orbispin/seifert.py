@@ -55,6 +55,13 @@ class SeifertInvariants:
             if b > a - 1:
                 raise ValueError(f"pair ({a}, {b}) is not normalised: need 1 <= beta <= alpha-1")
 
+    @classmethod
+    def _trusted(cls, genus: int, b: int, pairs: tuple[tuple[int, int], ...]) -> "SeifertInvariants":
+        """Invariants from a valid genus, an int b and normalised int pairs, unchecked."""
+        inv = object.__new__(cls)
+        inv.__dict__.update(genus=genus, obstruction=b, multiple_fibres=pairs)
+        return inv
+
     def base_signature(self) -> OrbifoldSignature:
         return OrbifoldSignature(self.genus, tuple(a for a, _ in self.multiple_fibres))
 
@@ -111,7 +118,7 @@ class RootContext:
         # (mod alpha_j), so each k_j below is an exact quotient
         pairs = tuple((a, -pow(r, -1, a) % a) for a in sig.cone_multiplicities)
         ks = tuple((r * beta - a + 1) // a for a, beta in pairs)
-        inv = SeifertInvariants(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
+        inv = SeifertInvariants._trusted(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
         # r*e = chi times the product P of the multiplicities, in integers; given
         # the fibre relations, the same as r*b = 2g-2 - sum(k_j)
         if -r * inv._minus_euler_product() != sig._product_chi:

@@ -279,6 +279,12 @@ def test_engine_choice_follows_table_size(monkeypatch):
             assert sizes == dict(enumerate(orbit_count_closed_form(genus, r)))
 
 
+@pytest.mark.parametrize("r", range(9, 17))
+def test_handle_engine_matches_the_tables_at_genus_two(r):
+    # 32,805 to 327,680 cells, 2 to 6 classes per handle
+    assert orbits._orbits_by_handles(r, 2) == orbits._orbits_by_tables(r, 2, orbits._unit_moves(r, 2))
+
+
 @pytest.mark.parametrize("genus, r", [(2, 11), (2, 12), (3, 5)])
 def test_handle_engine_matches_tuple_bfs_above_the_tables(genus, r):
     # 73,205, 103,680 and 125,000 cells, past the tables' bound; at (2, 12)
@@ -355,22 +361,24 @@ def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, 
         _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
-@pytest.mark.parametrize("r, count, chunk", [(1, 4, 4), (3, 4, 100), (3, 4, 5), (3, 2, 2), (5, 3, 4), (7, 4, 1)])
-def test_blocks_cover_the_space_in_order(monkeypatch, r, count, chunk):
-    monkeypatch.setattr(orbits, "_CHUNK", chunk)
-    rows = []
-    for digits in orbits._blocks(r, count):
-        assert len(digits) == count and all(np.size(d) <= r for d in digits)
-        grid = np.broadcast_arrays(*digits)
-        assert 1 <= grid[0].size <= chunk
-        rows += zip(*(g.ravel().tolist() for g in grid))
-    assert rows == list(product(range(r), repeat=count))
+def test_w_twist_factors_by_handle():
+    # the handle engine's W join is a product over the handles on each row
+    # (s_1, s_2): W_1 changes t_1 and t_2 alone, its new t_1 does not read t_2
+    # and its new t_2 does not read t_1.  Each digit on an axis of its own
+    r = 5
+    digits = [np.arange(r).reshape((-1,) + (1,) * (3 - axis)) for axis in range(4)]
+    for m in range(r):
+        moved = dict(orbits._twist(digits, r, "W", 0, m))
+        assert sorted(moved) == [1, 3]
+        assert moved[1].shape == (r, r, r, 1)
+        assert moved[3].shape == (r, 1, r, r)
 
 
-def test_handle_engine_in_small_blocks_matches_tuple_bfs(monkeypatch):
-    # blocks of 5 states split Z_r^4 and Z_r^{2g} every way _blocks can
+def test_handle_engine_in_small_slabs_matches_tuple_bfs(monkeypatch):
+    # with _CHUNK = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
+    # W join accumulates over r slabs; at (2, 12) each handle has 6 classes
     monkeypatch.setattr(orbits, "_CHUNK", 5)
-    for genus, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+    for genus, r in [(2, 2), (2, 3), (2, 4), (2, 12), (3, 2), (3, 3)]:
         standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
         records = orbits._orbits_by_handles(r, genus)
         assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, standard)
@@ -490,13 +498,12 @@ def test_search_peak_memory_per_state():
 
 
 def test_handle_engine_peak_memory():
-    # one handle's arrays of r^2 entries, d(r)^g product classes and one
-    # block of at most 2^15 states of Z_r^4: 1.1 MB at (2, 31), 1.6 MB at
-    # (2, 32) and 0.15 MB at (3, 8), against 4.2 B/state, 3.9 MB, for the
-    # search at (2, 31)
+    # one handle's arrays of r^2 entries, d(r)^g product classes and one slab
+    # of at most 2^15 cells of the grid (s_1, s_2, t): 1.0 MB at (2, 31) and
+    # 1.3 MB at (2, 64), against 4.2 B/state, 3.9 MB, for the search at (2, 31)
     import tracemalloc
 
-    for genus, r in [(2, 31), (2, 32), (3, 8)]:
+    for genus, r in [(2, 31), (2, 32), (2, 64), (3, 8)]:
         orbits._orbits_by_handles(3, genus)  # warm numpy's caches
         tracemalloc.start()
         try:
@@ -513,6 +520,12 @@ def test_handle_engine_checks_labels_past_the_states():
     partition = partition_orbits(context_for(4, 64), cap=None)
     assert partition.sizes() == orbit_count_closed_form(4, 64)
     assert [rec.label.kind for rec in partition.orbits] == ["all_zero", "last_one"]
+
+
+def test_handle_engine_joins_genus_two_past_the_states():
+    # 10^8 states: the W join reads the r^3 cells of (s_1, s_2, t), not Z_r^4
+    partition = partition_orbits(context_for(2, 100), cap=None)
+    assert partition.sizes() == orbit_count_closed_form(2, 100)
 
 
 def test_handle_engine_counts_past_int64():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -258,3 +259,18 @@ def test_cached_chi_and_euler_number_leave_equality_hash_repr_and_json_alone():
         assert compute(used) is compute(used)
         assert used == fresh and fresh == used
         assert (hash(used), repr(used), used.to_json()) == before == (hash(fresh), repr(fresh), fresh.to_json())
+
+
+def test_context_invariants_equal_the_public_constructors():
+    # a context builds its invariants unchecked from the data it derives; over
+    # the 1,266 contexts of the census grid they are what the validating
+    # constructor makes of that data
+    contexts = [RootContext(sig, r) for sig in hyperbolic_grid() for r in admissible_root_orders(sig)
+                if r ** (2 * sig.genus) <= 1 << 14]
+    assert len(contexts) == 1266
+    for inv in (ctx.invariants for ctx in contexts):
+        public = SeifertInvariants(inv.genus, inv.obstruction, inv.multiple_fibres)
+        assert inv == public and hash(inv) == hash(public) and repr(inv) == repr(public)
+        assert json.dumps(inv.to_json()) == json.dumps(public.to_json())
+        assert inv.euler_number() == public.euler_number()
+        assert type(inv.multiple_fibres) is tuple and all(type(p) is tuple for p in inv.multiple_fibres)
