@@ -1,8 +1,9 @@
 """Golden orbit partitions: one digest per (g, r, generator set).
 
 For every (g, r) with r^{2g} <= 2^16 (genus 0 up to r = 64; 355 pairs), and
-for the five genus >= 2 spaces of the benchmark's ``orbits`` workload
-((2, 18), (2, 21), (2, 31), (3, 7), (3, 8): 1.0e5 to 9.2e5 states), the
+for the seven spaces of the benchmark's ``orbits`` workload ((1, 401),
+(1, 720), (2, 18), (2, 21), (2, 31), (3, 7), (3, 8): 1.0e5 to 9.2e5
+states, the genus-1 ones partitioned by the breadth-first search), the
 sha256 of the partition's ``to_json()``, serialised with sorted keys, is
 stored in ``partition_golden.json`` under the unit twists ("unit", from
 ``partition_orbits``) and under the powers {2, -3} of every unit twist
@@ -31,7 +32,7 @@ from helpers import context_for
 GOLDEN = Path(__file__).with_name("partition_golden.json")
 
 PAIRS = [(g, r) for g in range(9) for r in range(1, 257) if r ** (2 * g) <= 1 << 16 and (g or r <= 64)]
-WORKLOAD_PAIRS = [(2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
+WORKLOAD_PAIRS = [(1, 401), (1, 720), (2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
 
 
 def powers_partition(ctx):
