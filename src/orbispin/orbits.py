@@ -10,21 +10,48 @@ packed images are built from the decoded digits by ``twists._twist``.
 Three engines partition the space and give identical records.  They act by
 the moves they are given; the library gives them the unit twists'.
 
-Breadth-first search (``_levels``), one orbit at a time, for ``orbit_of``
-and for big spaces the handles do not take.  It needs neither a sort nor the
-inverse twists.  Each move is a bijection of Z_r^{2g}, so it maps the
-distinct states of a frontier to distinct images: the images not yet marked
-in ``visited`` are new and distinct, and once marked, later moves find any
-repeats.  Each move has finite order, so its inverse is a positive power of
-it and the closure under the moves alone is the whole orbit.  States are
-int32 if r^{2g} <= 2^31 and r (2r + 2) < 2^31 (``_twist``'s unreduced values
-reach r (2r + 1)), else int64.  A level is the list of new-state arrays its
-chunks found; the next chunk joins consecutive ones, up to ``_CHUNK``
-states, and is decoded into its 2g digit arrays once for the moves and the
-label check.  No level is copied whole.  Memory is the 1 B/state ``visited``
-mask, 4 B per state of two levels and one chunk's arrays: a traced peak of
-10.3 B/state at (2, 21), 4.2 at (2, 31) and 1.6-2.1 for the 2^24 states of
-(1, 4096), (2, 64), (3, 16) and (4, 8).
+Breadth-first search (``_levels``) for ``orbit_of`` and for big spaces the
+handles do not take.  It needs neither a sort nor the inverse twists.  Each
+move is a bijection of Z_r^{2g}, so it maps the distinct states of a
+frontier to distinct images: the images not yet marked in ``seen`` are new
+and distinct, and once marked, later moves find any repeats.  Each move has
+finite order, so its inverse is a positive power of it and the closure under
+the moves alone is the whole orbit.  States are int32 if r^{2g} <= 2^31 and
+r (2r + 2) < 2^31 (``_twist``'s unreduced values reach r (2r + 1)), else
+int64.  A level is the list of new-state arrays its chunks found; the next
+chunk joins consecutive ones, up to ``_CHUNK`` states, and is decoded into
+its 2g digit arrays once for the moves and the label check.  No level is
+copied whole, and a chunk's arrays are freed before the next chunk's are
+built.
+
+``_orbits_by_levels`` searches in rounds, each from several seeds at once,
+so the many small levels of many orbits share chunks.  The seeds are the
+first unvisited state of each distinct invariant value among the next r
+indices, at most 255 (one when (g, r) has a single label).  The first
+round's r indices are the row (0, ..., 0, t), which holds every label:
+gcd(0, t, r) = gcd(t, r) takes every divisor of r, and the parity flips
+with t.  ``seen`` is 0 at an unvisited state and else the rank (1 to 255)
+of the seed whose search reached it; a new image takes its source's rank.
+Each chunk checks its states' invariants against the labels of their ranks,
+and an image that already holds another rank of the round is a clash: two
+seeds, whose values differ, reached one orbit.  Sizes are counted per rank.
+If no check fails, every seed is its orbit's least member m.  Earlier rounds
+closed whole orbits, so m is unvisited when the round starts and lies
+between the round's first unvisited state and the seed, in the round's r
+indices; m has the seed's value, and the seed is the least unvisited state
+of that value there, so m is the seed.  The records are then those of one
+search per orbit, sorted by seed.  A failed round need not name the least
+mixed orbit: its least member may share its value with an earlier seed of
+another orbit and seed nothing.  So the search then runs again with one
+seed per round, the least unvisited state, and names the first orbit that
+fails.  Memory is the 1 B/state ``seen`` array, 4 B per state of two levels
+and one chunk's arrays.  A round's levels hold the frontiers of all its
+orbits at once, 7% more states than the largest orbit's alone at
+(1, 4096), which the chunks of 2^14 states rather than 2^15 make up for.
+Traced peaks: 5.2 B/state at (2, 21), 2.9 at (2, 31), 2.5 at (1, 720),
+1.6 for the 2^24 states of (1, 4096) and 1.9-2.2 for those of (2, 64),
+(3, 16) and (4, 8), two orbits each (10.3, 4.2, 3.9, 1.6 and 1.6-1.9 with
+one search per orbit in chunks of 2^15).
 
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
 J. Algorithms 1982) for small spaces, where the search above is mostly
@@ -63,7 +90,7 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    class-pair edges are the product of each handle's (class before, class
    after) pairs, and their union over the r^2 rows is its edges on Z_r^4.
    One pass over the r^3 cells of (s_1, s_2, t), t for both t_1 and t_2,
-   in slabs of s_1 of at most max(r^2, ``_CHUNK``) cells, marks each
+   in slabs of s_1 of at most max(r^2, ``_SLAB``) cells, marks each
    handle's pairs per row, and a bool matrix product collects the edges,
    along which propagation gives the partition.  The orbits are the join
    of it tensored with the identity at each of the g - 1 places.
@@ -184,8 +211,12 @@ def standard_generators(genus: int) -> tuple[TwistGenerator, ...]:
 # (family, 0-based index, power in [1, r)): one generator power acting on Z_r^{2g}
 _Move = tuple[str, int, int]
 
-# states decoded at a time, or cells in one slab of the W join: bounds the arrays of one step
-_CHUNK = 1 << 15
+# states decoded at a time by the breadth-first search: bounds the arrays of one
+# step, which sit on top of the levels of every orbit that a round searches
+_CHUNK = 1 << 14
+
+# cells in one slab of the handle engine's W join: bounds the arrays of one slab
+_SLAB = 1 << 15
 
 # the largest table size (states x distinct moves) searched by image tables at
 # genus 1; larger spaces go to the breadth-first search
@@ -210,13 +241,13 @@ def _mod(x: np.ndarray, r: int) -> np.ndarray:
 
 
 def _digits(states: np.ndarray | int, r: int, count: int) -> list:
-    """The ``count`` base-r digits of packed states or of one int, most significant first."""
+    """The ``count`` base-r digits of packed states below r^count or of one int, most significant first."""
     digits = []
-    for _ in range(count):
+    for _ in range(count - 1):
         quotient = states // r
         digits.append(states - quotient * r)
         states = quotient
-    return digits[::-1]
+    return [states] + digits[::-1] if count else []
 
 
 def _moves(gens: Iterable[TwistGenerator], r: int) -> tuple[_Move, ...]:
@@ -237,7 +268,14 @@ def _image(states: np.ndarray, digits: list, r: int, w: list[int], move: _Move) 
     """The packed images of packed ``states``, decoded into ``digits``, under one move."""
     image = states
     for slot, value in _twist(digits, r, *move):
-        image = image + (_mod(value, r) - digits[slot]) * w[slot]
+        # in place on _twist's fresh, non-negative value: image + (value mod r - digit) * weight
+        quotient = value // r
+        quotient *= r
+        value -= quotient
+        value -= digits[slot]
+        value *= w[slot]
+        value += image
+        image = value
     return image
 
 
@@ -246,33 +284,57 @@ def _state_dtype(r: int, genus: int) -> str:
     return "int32" if r ** (2 * genus) <= 1 << 31 and r * (2 * r + 2) < 1 << 31 else "int64"
 
 
-def _levels(seed: int, visited: np.ndarray, r: int, genus: int, moves: tuple[_Move, ...]):
-    """Breadth-first search from ``seed``: yields each chunk of each level as
-    (states, digits) and marks every state it reaches in ``visited``.
+def _levels(seeds: list[int], seen: np.ndarray, r: int, genus: int, moves: tuple[_Move, ...],
+            visit: Callable[[np.ndarray, list, np.ndarray], None]) -> None:
+    """Breadth-first search from ``seeds`` at once (at most 255 of them):
+    marks each state that seed k (from 1) reaches k in ``seen`` and calls
+    ``visit(states, digits, ranks)`` on each chunk of each level.  MixedOrbit
+    when one seed's search reaches a state that another's holds.
 
     One move is a bijection, so its images of distinct states are distinct;
-    those not yet visited are new and need no further dedupe.
+    those not yet seen are new and need no further dedupe.
     """
     import numpy as np
     w = _weights(r, genus)
-    visited[seed] = True
-    level = [np.array([seed], dtype=_state_dtype(r, genus))]
+    level = [np.array(seeds, dtype=_state_dtype(r, genus))]
+    seen[level[0]] = np.arange(1, len(seeds) + 1)
     while level:
         parts, level = level[::-1], []
-        while parts:
-            batch, size = [], 0
-            while parts and size + parts[-1].size <= _CHUNK:
-                size += parts[-1].size
-                batch.append(parts.pop())
-            states = np.concatenate(batch)
-            digits = _digits(states, r, 2 * genus)
-            yield states, digits
-            for move in moves:
-                image = _image(states, digits, r, w, move)
-                fresh = image[~visited[image]]
-                visited[fresh] = True
-                if fresh.size:
-                    level.append(fresh)
+        while parts:  # one chunk's arrays are freed before the next chunk's are built
+            level += _expand(_join(parts), seen, r, genus, w, moves, visit)
+
+
+def _expand(states: np.ndarray, seen: np.ndarray, r: int, genus: int, w: list[int], moves: tuple[_Move, ...],
+            visit: Callable[[np.ndarray, list, np.ndarray], None]) -> list[np.ndarray]:
+    """Visit one chunk, then the states that each move reaches from it first."""
+    ranks, digits = seen.take(states), _digits(states, r, 2 * genus)
+    visit(states, digits, ranks)
+    images = (_mark(_image(states, digits, r, w, move), ranks, seen) for move in moves)
+    return [fresh for fresh in images if fresh.size]
+
+
+def _mark(image: np.ndarray, ranks: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The images that ``seen`` does not hold yet, which it now marks with
+    their sources' ``ranks``; MixedOrbit if an image holds another rank."""
+    import numpy as np
+    held = seen.take(image)
+    new = held == 0
+    fresh = image.compress(new)
+    if fresh.size + np.count_nonzero(held == ranks) < image.size:
+        raise MixedOrbit("two seeds of one search reach one orbit")
+    seen[fresh] = ranks.compress(new)
+    return fresh
+
+
+def _join(parts: list) -> np.ndarray:
+    """Pop the last part, and those before it while all fit in ``_CHUNK`` states, and join them."""
+    import numpy as np
+    batch = [parts.pop()]
+    size = batch[0].size
+    while parts and size + parts[-1].size <= _CHUNK:
+        size += parts[-1].size
+        batch.append(parts.pop())
+    return batch[0] if len(batch) == 1 else np.concatenate(batch)
 
 
 def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTuple]:
@@ -280,11 +342,15 @@ def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTu
     import numpy as np
     r, g = root.order, root.genus
     total = _check_state_count(r, g, cap)
-    moves = _unit_moves(r, g)
     seed = sum(c * w for c, w in zip(root.coords, _weights(r, g)))
-    levels = _levels(seed, np.zeros(total, dtype=bool), r, g, moves)
-    chunks = (np.reshape(digits, (2 * g, states.size)).T.tolist() for states, digits in levels)
-    return {RootTuple._trusted(r, tuple(row)) for rows in chunks for row in rows}
+    members: set[RootTuple] = set()
+
+    def visit(states: np.ndarray, digits: list, ranks: np.ndarray) -> None:
+        rows = np.reshape(digits, (2 * g, states.size)).T.tolist()
+        members.update(RootTuple._trusted(r, tuple(row)) for row in rows)
+
+    _levels([seed], np.zeros(total, dtype=np.uint8), r, g, _unit_moves(r, g), visit)
+    return members
 
 
 def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> OrbitPartition:
@@ -316,23 +382,53 @@ def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
     return rep, canonical_form(rep)
 
 
-def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...]) -> list[OrbitRecord]:
-    """One breadth-first search per orbit, seeded at the least unvisited state."""
+def _orbits_by_levels(r: int, genus: int, moves: tuple[_Move, ...], most: int = 255) -> list[OrbitRecord]:
+    """Breadth-first search in rounds, each from the first state of every
+    distinct invariant value among the unvisited states of the next r
+    indices (at most ``most`` seeds); after a round that fails a check the
+    search runs again one orbit per round, which names the least mixed orbit."""
     import numpy as np
-    visited = np.zeros(r ** (2 * genus), dtype=bool)
+    seen = np.zeros(r ** (2 * genus), dtype=np.uint8)
     invariant = _invariant(r, genus)
-    records: list[OrbitRecord] = []
-    seed = 0
-    while not visited[seed]:
-        rep, label = _head(seed, r, genus)
-        size = 0
-        for states, digits in _levels(seed, visited, r, genus, moves):
-            size += states.size
-            if invariant is not None and not np.all(invariant(digits) == label.invariant):
-                raise _mixed(rep)
-        records.append(OrbitRecord(rep, size, label))
-        seed += int(visited[seed:].argmin())  # the next unvisited state, if any
-    return records
+    found = []
+    start = 0
+    while not seen[start]:
+        seeds = [start] if invariant is None else _seeds(start, seen, r, genus, invariant, most)
+        heads = [_head(seed, r, genus) for seed in seeds]
+        labels = np.array([_BOTH] + [label.invariant for _, label in heads], dtype=_state_dtype(r, genus))
+        sizes = np.zeros(labels.size, dtype=np.int64)
+        try:
+            _levels(seeds, seen, r, genus, moves, partial(_tally, sizes, labels, invariant))
+        except MixedOrbit:
+            if len(seeds) > 1:
+                return _orbits_by_levels(r, genus, moves, most=1)
+            raise _mixed(heads[0][0]) from None
+        found += zip(seeds, heads, sizes[1:].tolist())
+        start += int(seen[start:].argmin())  # the next unvisited state, if any
+    return [OrbitRecord(rep, size, label) for _, (rep, label), size in sorted(found)]
+
+
+def _tally(sizes: np.ndarray, labels: np.ndarray, invariant: Callable | None,
+           states: np.ndarray, digits: list, ranks: np.ndarray) -> None:
+    """Count a chunk's states per rank into ``sizes``, and check each state's
+    invariant against ``labels`` at its rank; MixedOrbit if one differs."""
+    import numpy as np
+    least = ranks.min()
+    if least == ranks.max():  # counted whole: np.bincount would widen ranks to intp
+        sizes[least] += states.size
+    else:
+        sizes += np.bincount(ranks, minlength=sizes.size)
+    if invariant is not None and not (invariant(digits) == labels.take(ranks)).all():
+        raise MixedOrbit("a state's invariant differs from its seed's label")
+
+
+def _seeds(start: int, seen: np.ndarray, r: int, genus: int, invariant: Callable, most: int) -> list[int]:
+    """The first unvisited state of each invariant value among the r indices
+    from ``start``, at most ``most`` of them, in index order."""
+    import numpy as np
+    window = start + np.flatnonzero(seen[start:start + r] == 0).astype(_state_dtype(r, genus))
+    first = np.unique(invariant(_digits(window, r, 2 * genus)), return_index=True)[1]
+    return window[np.sort(first)[:most]].tolist()
 
 
 def _least_labels(least: np.ndarray, pulls: list[Callable[[np.ndarray], None]]) -> np.ndarray:
@@ -406,10 +502,10 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4: per
     # slab of s_1 on the grid (s_1, s_2, t), shown[h, row, (a, a')] marks handle h + 1's
     # class moves on a row (s_1, s_2) and met[(a, a'), (b, b')] collects their products;
-    # a slab is one s_1 of r^2 cells past r^2 = _CHUNK
+    # a slab is one s_1 of r^2 cells past r^2 = _SLAB
     cells = count * count
     met = np.zeros((cells, cells), dtype=bool)
-    t, step = np.arange(r), max(1, _CHUNK // (r * r))
+    t, step = np.arange(r), max(1, _SLAB // (r * r))
     s2 = t[:, None]
     for start in range(0, r, step):
         s1 = np.arange(start, min(start + step, r))[:, None, None]
@@ -476,12 +572,13 @@ def _invariant(r: int, genus: int) -> Callable[[list[np.ndarray]], np.ndarray] |
     if genus == 0 or (genus >= 2 and r % 2 == 1):
         return None
     if genus == 1:
-        # gcd(s, t, r) = gcd(gcd(s, r), gcd(t, r)), looked up by the position
-        # of gcd(x, r) among the divisors of r
+        # gcd(s, t, r) = gcd(gcd(s, r), t), looked up in one flat table by
+        # the position of gcd(s, r) among the divisors of r and by t
         divs = np.array(divisors(r))
         position = np.searchsorted(divs, np.gcd(np.arange(r), r))
-        meet = np.gcd.outer(divs, divs)
-        return lambda digits: meet[position[digits[0]], position[digits[1]]]
+        dtype = _state_dtype(r, 1)  # every value below is less than r^2
+        meet, row = np.gcd.outer(divs, np.arange(r)).ravel().astype(dtype), (position * r).astype(dtype)
+        return lambda digits: meet.take(row.take(digits[0]) + digits[1])
     return partial(_parity, genus=genus)
 
 

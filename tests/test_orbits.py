@@ -361,6 +361,63 @@ def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, 
         _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
 
 
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("powers", [(1,), (2, -3), (2,)])
+def test_search_rounds_match_tuple_bfs(monkeypatch, powers, chunk):
+    # genus 1 at composite r has one orbit per divisor of r, and the first
+    # round seeds them all; at genus 2 and even r the parity tells two orbits
+    # apart.  With chunks of 5 states the seeds span several chunks, and
+    # chunks mix ranks.  The powers {2, -3} generate the unit twists' group again;
+    # the squares alone do not, so one label holds several orbits, which
+    # later rounds must seed
+    if chunk:
+        monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    more_orbits_than_labels = False
+    for genus, r in [(1, 12), (1, 36), (1, 60), (2, 4), (2, 6)]:
+        letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
+        records = orbits._orbits_by_levels(r, genus, orbits._moves([TwistGenerator(*p) for p in letters], r))
+        assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
+        more_orbits_than_labels |= len({rec.label for rec in records}) < len(records)
+    assert more_orbits_than_labels == (powers == (2,))
+
+
+def _one_move(monkeypatch, r, cycles):
+    """Make the search's one move the permutation of Z_r^2 with these cycles
+    of packed states (every other state fixed); returns that move set."""
+    following = np.arange(r * r)
+    for cycle in cycles:
+        following[cycle] = np.roll(cycle, -1)
+    monkeypatch.setattr(orbits, "_image", lambda states, digits, r, w, move: following.take(states).astype(states.dtype))
+    return (("U", 0, 1),)
+
+
+def test_a_clash_of_two_seeds_names_the_orbit(monkeypatch):
+    # one cycle through all 16 states of Z_4^2, entering the states of each
+    # value of gcd(s, t, 4) in ascending order at its least one: the seeds 0,
+    # 1 and 2 (values 4, 1 and 2) each search one arc, whose states all pass
+    # their seed's label check.  Only the clash, one search reaching another's
+    # seed, shows that the one orbit holds three labels; without it the rounds
+    # return ((0, 0), 1), ((0, 1), 12) and ((0, 2), 3), the true sizes
+    by_value = {}
+    for x in range(16):
+        by_value.setdefault(gcd(x // 4, x % 4, 4), []).append(x)
+    moves = _one_move(monkeypatch, 4, [by_value[1] + by_value[2] + by_value[4]])
+    with pytest.raises(MixedOrbit, match=r"the orbit of \(0, 0\) mixes canonical forms"):
+        orbits._orbits_by_levels(4, 1, moves)
+
+
+def test_a_failed_round_names_the_least_mixed_orbit(monkeypatch):
+    # on Z_6^2, where every other state is fixed, (0, 1) and (2, 1) form one
+    # orbit, so the round at 12 = (2, 0) seeds 12 (value 2) and 15 = (2, 3)
+    # (value 1) among the unvisited states of 12 to 17.  The orbit {14, 15}
+    # mixes values 2 and 1 and fails 15's check, but its least member is
+    # 14 = (2, 2), which no seed holds: the failed round is searched again one
+    # orbit per round, where the unvisited state 14 comes first
+    moves = _one_move(monkeypatch, 6, [[1, 13], [14, 15]])
+    with pytest.raises(MixedOrbit, match=r"the orbit of \(2, 2\) mixes canonical forms"):
+        orbits._orbits_by_levels(6, 1, moves)
+
+
 def test_w_twist_factors_by_handle():
     # the handle engine's W join is a product over the handles on each row
     # (s_1, s_2): W_1 changes t_1 and t_2 alone, its new t_1 does not read t_2
@@ -375,9 +432,9 @@ def test_w_twist_factors_by_handle():
 
 
 def test_handle_engine_in_small_slabs_matches_tuple_bfs(monkeypatch):
-    # with _CHUNK = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
+    # with _SLAB = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
     # W join accumulates over r slabs; at (2, 12) each handle has 6 classes
-    monkeypatch.setattr(orbits, "_CHUNK", 5)
+    monkeypatch.setattr(orbits, "_SLAB", 5)
     for genus, r in [(2, 2), (2, 3), (2, 4), (2, 12), (3, 2), (3, 3)]:
         standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
         records = orbits._orbits_by_handles(r, genus)
@@ -469,8 +526,12 @@ def test_int64_states_give_the_same_records(monkeypatch, genus, r, powers):
     moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
 
     def search(dtype):
-        states, digits = next(orbits._levels(0, np.zeros(r ** (2 * genus), dtype=bool), r, genus, moves))
-        assert states.dtype == digits[0].dtype == dtype
+        chunks = []
+        orbits._levels([0], np.zeros(r ** (2 * genus), dtype=np.uint8), r, genus, moves,
+                       lambda *chunk: chunks.append(chunk))
+        for states, digits, ranks in chunks:
+            assert states.dtype == digits[0].dtype == dtype
+            assert set(ranks.tolist()) == {1}
         return orbits._orbits_by_levels(r, genus, moves)
 
     narrow = search(np.int32)
