@@ -227,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap",
         type=int,
-        help="positive state cap for enumerations, orbit searches and the moduli self-check; "
-        "at 2^24 states a genus-1 search peaks at about 2 B per state, 57 MB RSS in all, "
-        "and a genus >= 2 partition at about 2 MB, 33 MB RSS in all "
-        f"(default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
+        help="positive state cap for enumerations, orbit searches and the moduli self-check, "
+        f"which also bounds their memory (default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
     )
 
     parser = _Parser(

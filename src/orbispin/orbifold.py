@@ -77,11 +77,6 @@ class OrbifoldSignature:
         return (2 - 2 * self.genus - self.num_cone_points) * product + sum(
             product // a for a in self.cone_multiplicities)
 
-    @cached_property
-    def _chi(self) -> Fraction:
-        # one Fraction, made on first use
-        return Fraction(self._product_chi, prod(self.cone_multiplicities))
-
     def to_json(self) -> dict[str, Any]:
         return {"genus": self.genus, "cone_points": list(self.cone_multiplicities)}
 
@@ -95,9 +90,8 @@ class OrbifoldSignature:
 
 
 def chi_orb(sig: OrbifoldSignature) -> Fraction:
-    """Exact orbifold Euler characteristic 2 - 2g - n + sum(1/alpha_j),
-    computed once per signature object."""
-    return sig._chi
+    """Exact orbifold Euler characteristic 2 - 2g - n + sum(1/alpha_j)."""
+    return Fraction(sig._product_chi, prod(sig.cone_multiplicities))
 
 
 def is_hyperbolic(sig: OrbifoldSignature) -> bool:

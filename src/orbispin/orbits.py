@@ -47,11 +47,9 @@ seed per round, the least unvisited state, and names the first orbit that
 fails.  Memory is the 1 B/state ``seen`` array, 4 B per state of two levels
 and one chunk's arrays.  A round's levels hold the frontiers of all its
 orbits at once, 7% more states than the largest orbit's alone at
-(1, 4096), which the chunks of 2^14 states rather than 2^15 make up for.
-Traced peaks: 5.2 B/state at (2, 21), 2.9 at (2, 31), 2.5 at (1, 720),
-1.6 for the 2^24 states of (1, 4096) and 1.9-2.2 for those of (2, 64),
-(3, 16) and (4, 8), two orbits each (10.3, 4.2, 3.9, 1.6 and 1.6-1.9 with
-one search per orbit in chunks of 2^15).
+(1, 4096).  Traced peaks: 5.2 B/state at (2, 21), 2.9 at (2, 31), 2.5 at
+(1, 720), 1.6 for the 2^24 states of (1, 4096) and 1.9-2.2 for those of
+(2, 64), (3, 16) and (4, 8), two orbits each.
 
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
 J. Algorithms 1982) for small spaces, where the search above is mostly
@@ -90,7 +88,7 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    class-pair edges are the product of each handle's (class before, class
    after) pairs, and their union over the r^2 rows is its edges on Z_r^4.
    One pass over the r^3 cells of (s_1, s_2, t), t for both t_1 and t_2,
-   in slabs of s_1 of at most max(r^2, ``_SLAB``) cells, marks each
+   in slabs of s_1 of at most max(r^2, ``_CHUNK``) cells, marks each
    handle's pairs per row, and a bool matrix product collects the edges,
    along which propagation gives the partition.  The orbits are the join
    of it tensored with the identity at each of the g - 1 places.
@@ -104,7 +102,7 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    handles' parities, or both as soon as one of its handles' classes has
    both; outer products give these too.  Memory is one handle's arrays of
    r^2 entries, d(r)^g product classes, one slab's arrays and d(r)^4
-   bools: a traced peak of 1.0-1.4 MB at (2, 31), (2, 32), (2, 64) and
+   bools: a traced peak of 0.66-0.83 MB at (2, 31), (2, 32), (2, 64) and
    (2, 100), and 0.2 MB or less at (3, 8), (3, 16) and (4, 8).
 
 The tables and the handles end in one tail (``_records``), over classes of
@@ -146,7 +144,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .errors import MixedOrbit
 from .orbifold import divisors
@@ -211,12 +209,10 @@ def standard_generators(genus: int) -> tuple[TwistGenerator, ...]:
 # (family, 0-based index, power in [1, r)): one generator power acting on Z_r^{2g}
 _Move = tuple[str, int, int]
 
-# states decoded at a time by the breadth-first search: bounds the arrays of one
-# step, which sit on top of the levels of every orbit that a round searches
+# states decoded at a time by the breadth-first search, and cells in one slab of
+# the handle engine's W join: bounds the arrays of one step of either engine,
+# which in the search sit on top of the levels of every orbit a round searches
 _CHUNK = 1 << 14
-
-# cells in one slab of the handle engine's W join: bounds the arrays of one slab
-_SLAB = 1 << 15
 
 # the largest table size (states x distinct moves) searched by image tables at
 # genus 1; larger spaces go to the breadth-first search
@@ -250,15 +246,9 @@ def _digits(states: np.ndarray | int, r: int, count: int) -> list:
     return [states] + digits[::-1] if count else []
 
 
-def _moves(gens: Iterable[TwistGenerator], r: int) -> tuple[_Move, ...]:
-    """The distinct (family, 0-based index, power mod r) moves of ``gens``;
-    a power divisible by r acts trivially and is dropped."""
-    return tuple(dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r))
-
-
 def _unit_moves(r: int, genus: int) -> tuple[_Move, ...]:
-    """``_moves(standard_generators(genus), r)``, built without the generators."""
-    if r == 1:
+    """The moves of ``standard_generators(genus)``, built without the generators."""
+    if r == 1:  # every twist acts trivially
         return ()
     return tuple((family, i, 1) for i in range(genus) for family in "UV") + tuple(
         ("W", i, 1) for i in range(genus - 1))
@@ -300,41 +290,31 @@ def _levels(seeds: list[int], seen: np.ndarray, r: int, genus: int, moves: tuple
     seen[level[0]] = np.arange(1, len(seeds) + 1)
     while level:
         parts, level = level[::-1], []
-        while parts:  # one chunk's arrays are freed before the next chunk's are built
-            level += _expand(_join(parts), seen, r, genus, w, moves, visit)
-
-
-def _expand(states: np.ndarray, seen: np.ndarray, r: int, genus: int, w: list[int], moves: tuple[_Move, ...],
-            visit: Callable[[np.ndarray, list, np.ndarray], None]) -> list[np.ndarray]:
-    """Visit one chunk, then the states that each move reaches from it first."""
-    ranks, digits = seen.take(states), _digits(states, r, 2 * genus)
-    visit(states, digits, ranks)
-    images = (_mark(_image(states, digits, r, w, move), ranks, seen) for move in moves)
-    return [fresh for fresh in images if fresh.size]
-
-
-def _mark(image: np.ndarray, ranks: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The images that ``seen`` does not hold yet, which it now marks with
-    their sources' ``ranks``; MixedOrbit if an image holds another rank."""
-    import numpy as np
-    held = seen.take(image)
-    new = held == 0
-    fresh = image.compress(new)
-    if fresh.size + np.count_nonzero(held == ranks) < image.size:
-        raise MixedOrbit("two seeds of one search reach one orbit")
-    seen[fresh] = ranks.compress(new)
-    return fresh
-
-
-def _join(parts: list) -> np.ndarray:
-    """Pop the last part, and those before it while all fit in ``_CHUNK`` states, and join them."""
-    import numpy as np
-    batch = [parts.pop()]
-    size = batch[0].size
-    while parts and size + parts[-1].size <= _CHUNK:
-        size += parts[-1].size
-        batch.append(parts.pop())
-    return batch[0] if len(batch) == 1 else np.concatenate(batch)
+        while parts:
+            # the next chunk joins the first parts left while all fit in _CHUNK states
+            batch = [parts.pop()]
+            size = batch[0].size
+            while parts and size + parts[-1].size <= _CHUNK:
+                size += parts[-1].size
+                batch.append(parts.pop())
+            states = batch[0] if len(batch) == 1 else np.concatenate(batch)
+            del batch  # the joined parts are freed
+            ranks, digits = seen.take(states), _digits(states, r, 2 * genus)
+            visit(states, digits, ranks)
+            for move in moves:
+                # the images not held yet are new, and take their sources'
+                # ranks; one that holds another rank is a clash
+                image = _image(states, digits, r, w, move)
+                held = seen.take(image)
+                new = held == 0
+                fresh = image.compress(new)
+                if fresh.size + np.count_nonzero(held == ranks) < image.size:
+                    raise MixedOrbit("two seeds of one search reach one orbit")
+                seen[fresh] = ranks.compress(new)
+                del image, held, new  # freed before the next move's image is built
+                if fresh.size:
+                    level.append(fresh)
+            del states, ranks, digits  # freed before the next chunk's arrays are built
 
 
 def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTuple]:
@@ -502,10 +482,10 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4: per
     # slab of s_1 on the grid (s_1, s_2, t), shown[h, row, (a, a')] marks handle h + 1's
     # class moves on a row (s_1, s_2) and met[(a, a'), (b, b')] collects their products;
-    # a slab is one s_1 of r^2 cells past r^2 = _SLAB
+    # a slab is one s_1 of r^2 cells past r^2 = _CHUNK
     cells = count * count
     met = np.zeros((cells, cells), dtype=bool)
-    t, step = np.arange(r), max(1, _SLAB // (r * r))
+    t, step = np.arange(r), max(1, _CHUNK // (r * r))
     s2 = t[:, None]
     for start in range(0, r, step):
         s1 = np.arange(start, min(start + step, r))[:, None, None]

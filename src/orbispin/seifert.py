@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from typing import Any
 
@@ -71,14 +70,9 @@ class SeifertInvariants:
         product = prod(a for a, _ in self.multiple_fibres)
         return self.obstruction * product + sum(b * (product // a) for a, b in self.multiple_fibres)
 
-    @cached_property
-    def _euler(self) -> Fraction:
-        # one Fraction, made on first use
-        return Fraction(-self._minus_euler_product(), prod(a for a, _ in self.multiple_fibres))
-
     def euler_number(self) -> Fraction:
-        """e = -(b + sum_j beta_j / alpha_j), exact; computed once per object."""
-        return self._euler
+        """e = -(b + sum_j beta_j / alpha_j), exact."""
+        return Fraction(-self._minus_euler_product(), prod(a for a, _ in self.multiple_fibres))
 
     def to_json(self) -> dict[str, Any]:
         return {

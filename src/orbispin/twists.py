@@ -120,17 +120,6 @@ class TwistWord:
         return cls(tuple(TwistGenerator.from_json(g) for g in data))
 
 
-def _index_limits(genus: int) -> dict[str, int]:
-    """The largest index of each family: a u/v twist acts on handle index in
-    [1, g], a w twist on [1, g - 1]."""
-    return {"U": genus, "V": genus, "W": genus - 1}
-
-
-def _check_index(family: str, index: int, genus: int) -> None:
-    if not 1 <= index <= _index_limits(genus)[family]:
-        raise ValueError(f"{family}-twist index {index} out of range for genus {genus}")
-
-
 def _twist(digits, r: int, family: str, i: int, m: int):
     """(slot, new value) for each entry of (s_1, t_1, ..., s_g, t_g), ints or
     int32 or int64 digit arrays in [0, r), that a power m in [0, r) of twist i
@@ -161,11 +150,12 @@ def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> R
     word = word if isinstance(word, TwistWord) else TwistWord(word)
     coords = list(root.coords)
     r, genus = root.order, root.genus
-    limits = _index_limits(genus)
+    # the largest index of each family: a u/v twist acts on handle index in [1, g], a w twist on [1, g - 1]
+    limits = {"U": genus, "V": genus, "W": genus - 1}
     for gen in word.word:
         family, index = gen.family, gen.index
         if not 1 <= index <= limits[family]:
-            _check_index(family, index, genus)  # raises, naming the letter
+            raise ValueError(f"{family}-twist index {index} out of range for genus {genus}")
         # a power acts only through its value mod r
         for slot, value in _twist(coords, r, family, index - 1, gen.power % r):
             coords[slot] = value % r

@@ -98,6 +98,13 @@ def _twist(coords, r, family, i, m):
     return tuple(c)
 
 
+def _moves(gens, r):
+    """The distinct (family, 0-based index, power mod r) moves of the twist
+    generators ``gens``, the form the orbit engines act by; a power divisible
+    by r acts trivially and is dropped."""
+    return tuple(dict.fromkeys((g.family, g.index - 1, g.power % r) for g in gens if g.power % r))
+
+
 def bfs_orbit(start, r, generators):
     """The orbit of the tuple ``start`` under (family, index, power) twists
     and their inverses, by breadth-first search over plain tuples."""

@@ -27,6 +27,7 @@ from orbispin import (
 from orbispin.twists import _parity
 from helpers import (
     CENSUS_SIGNATURES,
+    _moves,
     _twist as tuple_twist,
     bfs_orbit,
     bfs_partition,
@@ -146,8 +147,8 @@ def test_partition_is_generator_set_independent():
     gens = [TwistGenerator("U", 1), TwistGenerator("V", 1), TwistGenerator("U", 1, 3)]
     # the engines take any move set; both sets generate the unit twists' group
     for engine in (orbits._orbits_by_tables, orbits._orbits_by_levels):
-        assert tuple(engine(3, 2, orbits._moves(extra, 3))) == base.orbits
-        assert tuple(engine(6, 1, orbits._moves(gens, 6))) == partition_orbits(ctx6).orbits
+        assert tuple(engine(3, 2, _moves(extra, 3))) == base.orbits
+        assert tuple(engine(6, 1, _moves(gens, 6))) == partition_orbits(ctx6).orbits
 
 
 def test_partition_is_deterministic():
@@ -231,7 +232,7 @@ def test_both_engines_match_tuple_bfs(powers):
     assert 6**4 * 5 <= orbits._HANDLE_CELLS < 7**4 * 5
     for genus, r in _SMALL + _BOUNDARY:
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
-        moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+        moves = _moves([TwistGenerator(*p) for p in letters], r)
         expected = bfs_partition(r, genus, letters)
         # the handle engine takes the unit twists at genus >= 2 alone
         for engine in _ENGINES if powers == (1,) and genus >= 2 else _ENGINES[:2]:
@@ -242,7 +243,7 @@ def test_both_engines_match_tuple_bfs(powers):
 def test_unit_moves_are_the_standard_generators_moves():
     for genus in range(6):
         for r in range(1, 9):
-            assert orbits._unit_moves(r, genus) == orbits._moves(standard_generators(genus), r), (genus, r)
+            assert orbits._unit_moves(r, genus) == _moves(standard_generators(genus), r), (genus, r)
 
 
 def _refuse(*args):
@@ -331,7 +332,7 @@ def test_both_engines_check_every_state_label(monkeypatch, engine):
 
         monkeypatch.setattr(orbits, "_invariant", flipped)
     with pytest.raises(MixedOrbit, match=r"the orbit of \(0, 0, 0, 0\) mixes canonical forms"):
-        _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
+        _run(engine, 2, 2, _moves(standard_generators(2), 2))
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -358,7 +359,7 @@ def test_a_mixed_orbit_is_named_by_its_least_member(monkeypatch, engine, flips, 
         monkeypatch.setattr(orbits, "_invariant", flipped)
     monkeypatch.setattr(orbits, "_CHUNK", 4)
     with pytest.raises(MixedOrbit, match=rf"the orbit of \({rep}\) mixes canonical forms"):
-        _run(engine, 2, 2, orbits._moves(standard_generators(2), 2))
+        _run(engine, 2, 2, _moves(standard_generators(2), 2))
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
@@ -375,7 +376,7 @@ def test_search_rounds_match_tuple_bfs(monkeypatch, powers, chunk):
     more_orbits_than_labels = False
     for genus, r in [(1, 12), (1, 36), (1, 60), (2, 4), (2, 6)]:
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
-        records = orbits._orbits_by_levels(r, genus, orbits._moves([TwistGenerator(*p) for p in letters], r))
+        records = orbits._orbits_by_levels(r, genus, _moves([TwistGenerator(*p) for p in letters], r))
         assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(r, genus, letters)
         more_orbits_than_labels |= len({rec.label for rec in records}) < len(records)
     assert more_orbits_than_labels == (powers == (2,))
@@ -432,9 +433,9 @@ def test_w_twist_factors_by_handle():
 
 
 def test_handle_engine_in_small_slabs_matches_tuple_bfs(monkeypatch):
-    # with _SLAB = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
+    # with _CHUNK = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
     # W join accumulates over r slabs; at (2, 12) each handle has 6 classes
-    monkeypatch.setattr(orbits, "_SLAB", 5)
+    monkeypatch.setattr(orbits, "_CHUNK", 5)
     for genus, r in [(2, 2), (2, 3), (2, 4), (2, 12), (3, 2), (3, 3)]:
         standard = [(g.family, g.index, g.power) for g in standard_generators(genus)]
         records = orbits._orbits_by_handles(r, genus)
@@ -448,7 +449,7 @@ def test_single_twist_orbits_match_tuple_bfs():
         for gen in standard_generators(genus):
             for m in (1, 2, -3):
                 letter = (gen.family, gen.index, m)
-                records = orbits._orbits_by_levels(r, genus, orbits._moves([TwistGenerator(*letter)], r))
+                records = orbits._orbits_by_levels(r, genus, _moves([TwistGenerator(*letter)], r))
                 assert [(rec.representative.coords, rec.size) for rec in records] == bfs_partition(
                     r, genus, [letter]), letter
 
@@ -511,7 +512,7 @@ def test_int32_twists_do_not_overflow_at_the_bound(genus, r):
     states = np.array([sum(c * w for c, w in zip(row, orbits._weights(r, genus))) for row in coords], dtype="int32")
     digits = orbits._digits(states, r, 2 * genus)
     letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in (1, 2, r - 1)]
-    for move in orbits._moves([TwistGenerator(*p) for p in letters], r):
+    for move in _moves([TwistGenerator(*p) for p in letters], r):
         image = orbits._image(states, digits, r, orbits._weights(r, genus), move)
         assert image.dtype == np.int32
         expected = [tuple_twist(row, r, *move) for row in coords]
@@ -523,7 +524,7 @@ def test_int32_twists_do_not_overflow_at_the_bound(genus, r):
 def test_int64_states_give_the_same_records(monkeypatch, genus, r, powers):
     # otherwise int64 runs only above 2^31 states or at r >= 2^15, which no test reaches
     letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
-    moves = orbits._moves([TwistGenerator(*p) for p in letters], r)
+    moves = _moves([TwistGenerator(*p) for p in letters], r)
 
     def search(dtype):
         chunks = []
@@ -543,25 +544,28 @@ def test_int64_states_give_the_same_records(monkeypatch, genus, r, powers):
 
 def test_search_peak_memory_per_state():
     # a 1 B/state visited mask, two levels of int32 states and one chunk's
-    # arrays: 10.3 B/state here, 19.5 with int64 states and whole-level copies
+    # arrays: 5.2 B/state at (2, 21) and 2.5 at (1, 720).  A search that kept
+    # one array alive past its use (the joined parts of a chunk, a move's
+    # image, or the last chunk's arrays while the next is built) reads
+    # 5.5-5.7 at (2, 21), and the first two 2.6 at (1, 720)
     import tracemalloc
 
-    r, genus = 21, 2
-    moves = orbits._moves(standard_generators(genus), r)
-    orbits._orbits_by_levels(3, genus, moves)  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        orbits._orbits_by_levels(r, genus, moves)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * r ** (2 * genus)
+    for genus, r, bound in [(2, 21, 5.4), (1, 720, 2.55)]:
+        moves = _moves(standard_generators(genus), r)
+        orbits._orbits_by_levels(3, genus, moves)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            orbits._orbits_by_levels(r, genus, moves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * r ** (2 * genus), (genus, r, peak)
 
 
 def test_handle_engine_peak_memory():
     # one handle's arrays of r^2 entries, d(r)^g product classes and one slab
-    # of at most 2^15 cells of the grid (s_1, s_2, t): 1.0 MB at (2, 31) and
-    # 1.3 MB at (2, 64), against 4.2 B/state, 3.9 MB, for the search at (2, 31)
+    # of at most 2^14 cells of the grid (s_1, s_2, t): 0.66 MB at (2, 31) and
+    # 0.83 MB at (2, 64), against 2.9 B/state, 2.7 MB, for the search at (2, 31)
     import tracemalloc
 
     for genus, r in [(2, 31), (2, 32), (2, 64), (3, 8)]:

@@ -27,7 +27,7 @@ import pytest
 
 from orbispin import OrbifoldSignature, OrbitPartition, TwistGenerator, partition_orbits, solve_raymond_vasquez
 from orbispin import orbits
-from helpers import context_for
+from helpers import _moves, context_for
 
 GOLDEN = Path(__file__).with_name("partition_golden.json")
 
@@ -42,8 +42,8 @@ def powers_partition(ctx):
     search.  (``partition_orbits`` sends genus >= 2 above ``_HANDLE_CELLS``
     handle by handle, an engine that acts by the unit twists alone.)"""
     r, genus = ctx.order, ctx.genus
-    moves = orbits._moves([TwistGenerator(g.family, g.index, m)
-                           for g in orbits.standard_generators(genus) for m in (2, -3)], r)
+    moves = _moves([TwistGenerator(g.family, g.index, m)
+                    for g in orbits.standard_generators(genus) for m in (2, -3)], r)
     engine = orbits._orbits_by_tables if r ** (2 * genus) * len(moves) <= orbits._TABLE_CELLS else orbits._orbits_by_levels
     return OrbitPartition(r, genus, tuple(engine(r, genus, moves)))
 
