@@ -50,6 +50,15 @@ def _load_text(arg: str) -> str:
     return arg
 
 
+def _load_json(arg: str) -> Any:
+    """Nesting too deep to parse is a usage error, not json's RecursionError (a RuntimeError)."""
+    text = _load_text(arg)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _integer(text: str) -> int:
     """ASCII digits, an optional sign and spaces; int() also reads "1_0" and other scripts' digits."""
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
@@ -58,7 +67,7 @@ def _integer(text: str) -> int:
 
 
 def _parse_signature(arg: str) -> OrbifoldSignature:
-    return OrbifoldSignature.from_json(json.loads(_load_text(arg)))
+    return OrbifoldSignature.from_json(_load_json(arg))
 
 
 def _parse_root(arg: str, ctx: RootContext) -> RootTuple:
@@ -72,7 +81,7 @@ def _parse_root(arg: str, ctx: RootContext) -> RootTuple:
 
 
 def _parse_word(arg: str) -> TwistWord:
-    return TwistWord.from_json(json.loads(_load_text(arg)))
+    return TwistWord.from_json(_load_json(arg))
 
 
 def _emit(args: argparse.Namespace, payload: Any, text: str) -> None:
@@ -106,7 +115,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    inv = SeifertInvariants.from_json(json.loads(_load_text(args.invariants)))
+    inv = SeifertInvariants.from_json(_load_json(args.invariants))
     ctx = recognize_fibre_index(inv)
     _emit(args, ctx.to_json(), json.dumps(ctx.to_json(), ensure_ascii=False, indent=2))
     return 0

@@ -1,11 +1,10 @@
-"""Shared test utilities: signature grids and independent oracles.
+"""Shared test utilities: census signatures and independent oracles.
 
-The brute-force solvability oracle below deliberately avoids the library's
-modular-inverse shortcut: it searches the normalised beta ranges directly
-and checks divisibility, so it can act as an independent referee for the
-admissibility test and the relation solver.  The Euler characteristic and
-Euler number oracles add one Fraction per term.  The orbit oracles count
-pairs and search tuples directly, from the twist formulas alone.
+The Euler characteristic and Euler number oracles add one Fraction per
+term.  The orbit oracles count pairs and search tuples directly, from the
+twist formulas alone.  The brute-force search of the covering relations
+lives in ``orbispin.verification.check_existence``, which both
+``orbispin verify`` and the acceptance criteria run.
 """
 
 from collections import deque
@@ -14,36 +13,6 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 
 from orbispin import OrbifoldSignature, is_hyperbolic
-
-
-def hyperbolic_grid(max_genus=3, max_cones=3, max_multiplicity=9):
-    sigs = []
-    for g in range(max_genus + 1):
-        for n in range(max_cones + 1):
-            for alphas in combinations_with_replacement(range(2, max_multiplicity + 1), n):
-                sig = OrbifoldSignature(g, alphas)
-                if is_hyperbolic(sig):
-                    sigs.append(sig)
-    return sigs
-
-
-def rv_solvable_bruteforce(sig, r):
-    """Search integers b, k_j and beta_j in [1, alpha_j - 1] with
-    r*beta_j = alpha_j - 1 + k_j*alpha_j and r*b = 2g - 2 - sum(k_j)."""
-    per_cone_ks = []
-    for a in sig.cone_multiplicities:
-        choices = []
-        for beta in range(1, a):
-            numerator = r * beta - a + 1
-            if numerator % a == 0:
-                choices.append(numerator // a)
-        if not choices:
-            return False
-        per_cone_ks.append(choices)
-    for ks in product(*per_cone_ks):
-        if (2 * sig.genus - 2 - sum(ks)) % r == 0:
-            return True
-    return False
 
 
 def chi_by_fraction_sum(sig):

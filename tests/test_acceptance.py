@@ -2,45 +2,53 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Expected values are frozen from independent computations: the
-brute-force relation search in helpers.py, hand-evaluated closed forms, and
-direct pair counting over Z_r^2.  All comparisons are exact; there are no
-tolerances anywhere.
+brute-force relation search in ``verification.check_existence``,
+hand-evaluated closed forms, and direct pair counting over Z_r^2.  Criteria
+1, 7 and 9 run the checks of ``orbispin verify`` at their own grid, sample
+count and seed, and assert the counts those checks report.  All comparisons
+are exact; there are no tolerances anywhere.
 """
 
-import random
 from itertools import product
 from math import gcd
 
+import pytest
+
 from orbispin import (
-    InadmissibleOrder,
-    OrbifoldSignature,
     RootTuple,
     SeifertInvariants,
     admissible_root_orders,
     a_invariant,
     apply_generator,
-    apply_word,
-    canonical_form,
     chi_orb,
     divisors,
     moduli_report,
     orbit_of,
     partition_orbits,
     recognize_fibre_index,
-    reduce_with_witness,
-    root_order_admissible,
     solve_raymond_vasquez,
     standard_generators,
 )
-from helpers import (
-    CENSUS_SIGNATURES,
-    genus_one_signature,
-    hyperbolic_grid,
-    rv_solvable_bruteforce,
+from orbispin.verification import (
+    GridBounds,
+    _solve_grid,
+    check_existence,
+    check_round_trip,
+    check_witnesses,
+    hyperbolic_signatures,
 )
+from helpers import CENSUS_SIGNATURES, genus_one_signature
 
-GRID = hyperbolic_grid(max_genus=3, max_cones=3, max_multiplicity=9)
+ACCEPTANCE = GridBounds(max_genus=3, max_cones=3, max_multiplicity=9, max_order=60)
+GRID = hyperbolic_signatures(ACCEPTANCE)
 MODULI_STATE_BOUND = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """Every GRID signature at r = 1..60, solved once (None where refused);
+    a cap of 0 adds no census orders beyond r = 60."""
+    return _solve_grid(ACCEPTANCE, 0)
 
 
 def _report(number, description, ok, detail=""):
@@ -55,46 +63,24 @@ def _signed_units(genus):
     return gens + [g.inverse() for g in gens]
 
 
-def test_criterion_1_existence_equivalence():
-    pairs = 0
-    mismatches = []
-    for sig in GRID:
-        for r in range(1, 61):
-            pairs += 1
-            admissible = root_order_admissible(sig, r)
-            searched = rv_solvable_bruteforce(sig, r)
-            try:
-                solve_raymond_vasquez(sig, r)
-                solved = True
-            except InadmissibleOrder:
-                solved = False
-            if not (admissible == searched == solved):
-                mismatches.append((sig.to_json(), r))
+def test_criterion_1_existence_equivalence(solved):
+    result = check_existence(solved, ACCEPTANCE)
     _report(
         1,
         "existence test agrees with brute-force relation search",
-        not mismatches,
-        f"{pairs} (signature, order) pairs, {len(mismatches)} mismatches",
+        result.passed and result.detail == "36000 (signature, order) pairs",
+        result.detail,
     )
 
 
-def test_criterion_2_exact_euler_identity():
-    solved = 0
-    violations = 0
-    for sig in GRID:
-        chi = chi_orb(sig)
-        for r in range(1, 61):
-            if not root_order_admissible(sig, r):
-                continue
-            ctx = solve_raymond_vasquez(sig, r)
-            solved += 1
-            if r * ctx.euler_number != chi:
-                violations += 1
+def test_criterion_2_exact_euler_identity(solved):
+    contexts = [ctx for ctx in solved.values() if ctx is not None]
+    violations = [ctx for ctx in contexts if ctx.order * ctx.euler_number != chi_orb(ctx.signature)]
     _report(
         2,
         "r * e = chi holds exactly for every solved context",
-        violations == 0,
-        f"{solved} contexts, zero tolerance",
+        not violations and len(contexts) == 1536,
+        f"{len(contexts)} contexts, zero tolerance",
     )
 
 
@@ -191,29 +177,12 @@ def test_criterion_6_genus_one_census():
 
 
 def test_criterion_7_witness_soundness():
-    rng = random.Random(20260810)
-    samples = 10_000
-    replay_failures = 0
-    invariance_failures = 0
-    configs = 0
-    for genus in range(4):
-        letters = _signed_units(genus)
-        for r in range(1, 7):
-            configs += 1
-            for _ in range(samples):
-                root = RootTuple(r, tuple(rng.randrange(r) for _ in range(2 * genus)))
-                form, witness = reduce_with_witness(root)
-                if apply_word(root, witness) != form.canonical_root():
-                    replay_failures += 1
-                if genus and canonical_form(
-                    apply_word(root, rng.choices(letters, k=32))
-                ) != form:
-                    invariance_failures += 1
+    result = check_witnesses(range(4), range(1, 7), 10_000, 20260810)
     _report(
         7,
         "witness words replay to canonical tuples; canonical form is orbit-constant",
-        replay_failures == 0 and invariance_failures == 0,
-        f"{configs} configurations x {samples} random roots",
+        result.passed and result.detail == "240000 random roots",
+        result.detail,
     )
 
 
@@ -249,23 +218,12 @@ def test_criterion_8_moduli_report_consistency():
     )
 
 
-def test_criterion_9_round_trip_recognition():
-    solved = 0
-    failures = []
-    for sig in GRID:
-        for r in range(1, 61):
-            if not root_order_admissible(sig, r):
-                continue
-            ctx = solve_raymond_vasquez(sig, r)
-            if recognize_fibre_index(ctx.invariants) != ctx:
-                failures.append((sig.to_json(), r))
-            solved += 1
+def test_criterion_9_round_trip_recognition(solved):
+    result = check_round_trip(solved, ACCEPTANCE)
     worked = recognize_fibre_index(SeifertInvariants(2, 1, ((3, 1),)))
-    if worked.order != 2:
-        failures.append(("worked example", worked.order))
     _report(
         9,
         "fibre-index recognition inverts the relation solver",
-        not failures,
-        f"{solved} solved contexts plus the worked example",
+        result.passed and result.detail == "1536 solved contexts" and worked.order == 2,
+        f"{result.detail} plus the worked example (order {worked.order})",
     )

@@ -197,6 +197,21 @@ def test_non_integers_and_bad_caps_are_usage_errors(capsys, argv):
     assert err.startswith("UsageError:")
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", DEEP),
+    ("recognize", DEEP),
+    ("twist", SIG_G1C3, "2", "0,1", DEEP),
+], ids=["signature", "invariants", "word"])
+def test_deeply_nested_json_is_a_usage_error(capsys, argv):
+    # json raises RecursionError, a RuntimeError, which would exit 4 as a bug
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "UsageError: JSON input is nested too deeply\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "2.5", "1_0", "\u0662"])
 def test_bad_state_cap_env_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("ORBISPIN_STATE_CAP", value)

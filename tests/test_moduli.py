@@ -10,7 +10,8 @@ from orbispin import (
     moduli_report,
     solve_raymond_vasquez,
 )
-from helpers import genus_one_signature, hyperbolic_grid
+from orbispin.verification import GridBounds, hyperbolic_signatures
+from helpers import genus_one_signature
 
 
 def test_genus_zero_report_is_a_single_sheet():
@@ -48,7 +49,7 @@ def test_genus_two_odd_order_report_is_connected():
 
 
 def test_sheet_totals_across_grid():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=5):
+    for sig in hyperbolic_signatures(GridBounds(max_genus=2, max_cones=2, max_multiplicity=5)):
         for r in admissible_root_orders(sig):
             if r ** (2 * sig.genus) > 1 << 14:
                 continue

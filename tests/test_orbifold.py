@@ -18,7 +18,7 @@ from orbispin import (
     multiplicity_product_chi,
     root_order_admissible,
 )
-from helpers import hyperbolic_grid
+from orbispin.verification import GridBounds, hyperbolic_signatures
 
 
 @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ def test_multiplicity_product_chi_examples():
 
 
 def test_product_chi_is_integer_on_grid():
-    for sig in hyperbolic_grid(max_genus=3, max_cones=3, max_multiplicity=7):
+    for sig in hyperbolic_signatures(GridBounds(max_genus=3, max_cones=3, max_multiplicity=7)):
         product = 1
         for a in sig.cone_multiplicities:
             product *= a
@@ -101,7 +101,7 @@ def test_cone_free_orders_are_divisors_of_2g_minus_2():
 
 
 def test_order_one_is_always_admissible():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=6):
+    for sig in hyperbolic_signatures(GridBounds(max_genus=2, max_cones=2, max_multiplicity=6)):
         orders = admissible_root_orders(sig)
         assert orders[0] == 1
         assert list(orders) == sorted(orders)

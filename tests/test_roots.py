@@ -10,7 +10,7 @@ from orbispin import (
     enumerate_roots,
     solve_raymond_vasquez,
 )
-from helpers import hyperbolic_grid
+from orbispin.verification import GridBounds, hyperbolic_signatures
 
 
 def test_enumerate_genus_zero_has_single_empty_root():
@@ -67,7 +67,7 @@ def test_determined_values_equal_multiplicities_repeat():
 
 
 def test_determined_values_satisfy_both_relations_mod_r():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=6):
+    for sig in hyperbolic_signatures(GridBounds(max_genus=2, max_cones=2, max_multiplicity=6)):
         for r in admissible_root_orders(sig):
             ctx = solve_raymond_vasquez(sig, r)
             h, qs = determined_values(ctx)

@@ -14,11 +14,13 @@ from orbispin import (
     chi_orb,
     multiplicity_product_chi,
     recognize_fibre_index,
-    root_order_admissible,
     solve_raymond_vasquez,
     unit_tangent_bundle,
 )
-from helpers import chi_by_fraction_sum, euler_by_fraction_sum, hyperbolic_grid, rv_solvable_bruteforce
+from orbispin.verification import GridBounds, hyperbolic_signatures
+from helpers import chi_by_fraction_sum, euler_by_fraction_sum
+
+GRID = hyperbolic_signatures(GridBounds(max_genus=3, max_cones=3, max_multiplicity=9))
 
 
 def test_order_one_solution_is_the_unit_tangent_bundle():
@@ -127,21 +129,8 @@ def test_context_checks_r_times_e_equals_chi(monkeypatch):
         RootContext(sig, 2)
 
 
-def test_equivalence_of_admissibility_solver_and_search():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=6):
-        for r in range(1, 25):
-            admissible = root_order_admissible(sig, r)
-            assert admissible == rv_solvable_bruteforce(sig, r)
-            if admissible:
-                ctx = solve_raymond_vasquez(sig, r)
-                assert r * ctx.euler_number == chi_orb(sig)
-            else:
-                with pytest.raises(InadmissibleOrder):
-                    solve_raymond_vasquez(sig, r)
-
-
 def test_round_trip_recognition_on_grid():
-    for sig in hyperbolic_grid(max_genus=2, max_cones=2, max_multiplicity=6):
+    for sig in hyperbolic_signatures(GridBounds(max_genus=2, max_cones=2, max_multiplicity=6)):
         for r in admissible_root_orders(sig):
             ctx = solve_raymond_vasquez(sig, r)
             back = recognize_fibre_index(ctx.invariants)
@@ -239,7 +228,7 @@ def test_context_loader_refuses_malformed_json(data):
 
 
 def test_chi_and_euler_number_equal_term_by_term_sums():
-    for sig in hyperbolic_grid():
+    for sig in GRID:
         assert chi_orb(sig) == chi_by_fraction_sum(sig)
         for r in admissible_root_orders(sig):
             ctx = solve_raymond_vasquez(sig, r)
@@ -260,7 +249,7 @@ def test_context_invariants_equal_the_public_constructors():
     # a context builds its invariants unchecked from the data it derives; over
     # the 1,266 contexts of the census grid they are what the validating
     # constructor makes of that data
-    contexts = [RootContext(sig, r) for sig in hyperbolic_grid() for r in admissible_root_orders(sig)
+    contexts = [RootContext(sig, r) for sig in GRID for r in admissible_root_orders(sig)
                 if r ** (2 * sig.genus) <= 1 << 14]
     assert len(contexts) == 1266
     for inv in (ctx.invariants for ctx in contexts):

@@ -6,9 +6,14 @@ import pytest
 
 import orbispin.moduli
 import orbispin.verification
-from orbispin import OrbifoldSignature, RootTuple, TwistGenerator, apply_word, partition_orbits
+from orbispin import (
+    OrbifoldSignature, RootContext, RootTuple, TwistGenerator, apply_word, partition_orbits,
+    solve_raymond_vasquez,
+)
 from orbispin.cli import main
-from orbispin.verification import GridBounds, run_suite
+from orbispin.verification import (
+    WITNESS_SAMPLES, GridBounds, _solve_grid, check_round_trip, check_witnesses, run_suite,
+)
 from helpers import _twist, bfs_partition, context_for
 
 ROWS = (
@@ -111,6 +116,47 @@ def test_a_wrong_admissibility_test_fails_the_existence_row(monkeypatch, capsys,
             lambda sig, r: real(sig, r) != ((sig, r) == flipped),
         )
     assert _verify_rows(capsys, grid) == (1, {"existence"})
+
+
+def _reading_one_one_as_zero(real):
+    """``real`` with a genus-1 root at (1, 1) read as the zero root."""
+    def moved(root, *rest):
+        return real(RootTuple(root.order, (0, 0)) if root.coords == (1, 1) else root, *rest)
+    return moved
+
+
+@pytest.mark.parametrize(
+    "name,failure",
+    [
+        # the witness of (1, 1) replayed from (0, 0) stays at (0, 0)
+        ("apply_word", r"replay failed for \(1, 1\), r=6"),
+        # a scramble landing on (1, 1) reads the form of (0, 0): d = 6, not d = 1
+        ("canonical_form", r"canonical form moved for \(\d+, \d+\), r=6"),
+    ],
+)
+def test_a_moved_root_fails_the_witness_row(monkeypatch, name, failure):
+    assert check_witnesses([1], [6], WITNESS_SAMPLES, 0).passed
+    monkeypatch.setattr(
+        orbispin.verification, name, _reading_one_one_as_zero(getattr(orbispin.verification, name))
+    )
+    result = check_witnesses([1], [6], WITNESS_SAMPLES, 0)
+    assert result.name == "witness-replay" and not result.passed
+    assert re.fullmatch(failure, result.detail)
+
+
+def test_another_context_fails_the_round_trip_row(monkeypatch):
+    bounds = GridBounds(max_genus=1, max_cones=1, max_multiplicity=3, max_order=4)
+    solved = _solve_grid(bounds, 0)
+    assert check_round_trip(solved, bounds).passed
+    target = solve_raymond_vasquez(OrbifoldSignature(1, (3,)), 2)
+    real = orbispin.verification.recognize_fibre_index
+    monkeypatch.setattr(
+        orbispin.verification, "recognize_fibre_index",
+        lambda inv: RootContext(target.signature, 1) if inv == target.invariants else real(inv),
+    )
+    result = check_round_trip(solved, bounds)
+    assert result.name == "round-trip" and not result.passed
+    assert result.detail == f"recovery differs at {target.signature.to_json()}, r=2"
 
 
 def test_the_one_twist_formula_feeds_every_consumer(monkeypatch):
