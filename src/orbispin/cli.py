@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import re
+import reprlib
 import sys
 from typing import Any, NoReturn
 
@@ -60,10 +61,15 @@ def _load_json(arg: str) -> Any:
 
 
 def _integer(text: str) -> int:
-    """ASCII digits, an optional sign and spaces; int() also reads "1_0" and other scripts' digits."""
+    """ASCII digits, an optional sign and spaces; int() also reads "1_0" and other scripts' digits.
+
+    Errors are ArgumentTypeError, whose message argparse keeps for --cap and --seed."""
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}")
+    try:
+        return int(text)
+    except ValueError as err:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_signature(arg: str) -> OrbifoldSignature:
@@ -84,9 +90,12 @@ def _parse_word(arg: str) -> TwistWord:
     return TwistWord.from_json(_load_json(arg))
 
 
-def _emit(args: argparse.Namespace, payload: Any, text: str) -> None:
+def _emit(args: argparse.Namespace, payload: Any, text: str | None = None) -> None:
+    """One JSON line under --json, else ``text``, else the payload as indented JSON."""
     if args.json:
         print(json.dumps(payload, ensure_ascii=False))
+    elif text is None:
+        print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:
         print(text)
 
@@ -96,50 +105,41 @@ def _context(args: argparse.Namespace) -> RootContext:
     return solve_raymond_vasquez(sig, _integer(args.order))
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
+def _cmd_chi(args: argparse.Namespace) -> None:
     value = chi_orb(_parse_signature(args.signature))
     _emit(args, {"chi": str(value)}, str(value))
-    return 0
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
+def _cmd_roots(args: argparse.Namespace) -> None:
     orders = admissible_root_orders(_parse_signature(args.signature))
     _emit(args, {"admissible_orders": list(orders)}, " ".join(map(str, orders)))
-    return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> None:
     ctx = _context(args)
-    _emit(args, ctx.to_json(), json.dumps(ctx.to_json(), ensure_ascii=False, indent=2))
-    return 0
+    _emit(args, ctx.to_json())
 
 
-def _cmd_recognize(args: argparse.Namespace) -> int:
+def _cmd_recognize(args: argparse.Namespace) -> None:
     inv = SeifertInvariants.from_json(_load_json(args.invariants))
     ctx = recognize_fibre_index(inv)
-    _emit(args, ctx.to_json(), json.dumps(ctx.to_json(), ensure_ascii=False, indent=2))
-    return 0
+    _emit(args, ctx.to_json())
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> None:
     ctx = _context(args)
     for root in enumerate_roots(ctx, cap=args.cap):
-        if args.json:
-            print(json.dumps(root.to_json()))
-        else:
-            print(",".join(map(str, root.coords)) or "-")
-    return 0
+        _emit(args, root.to_json(), ",".join(map(str, root.coords)) or "-")
 
 
-def _cmd_twist(args: argparse.Namespace) -> int:
+def _cmd_twist(args: argparse.Namespace) -> None:
     ctx = _context(args)
     root = _parse_root(args.tuple, ctx)
     moved = apply_word(root, _parse_word(args.word))
     _emit(args, moved.to_json(), ",".join(map(str, moved.coords)))
-    return 0
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> None:
     ctx = _context(args)
     root = _parse_root(args.tuple, ctx)
     form, witness = reduce_with_witness(root)
@@ -161,20 +161,16 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         ]
     )
     _emit(args, payload, text)
-    return 0
 
 
-def _cmd_orbits(args: argparse.Namespace) -> int:
+def _cmd_orbits(args: argparse.Namespace) -> None:
     partition = partition_orbits(_context(args), cap=args.cap)
-    data = partition.to_json()
-    _emit(args, data, json.dumps(data, ensure_ascii=False, indent=2))
-    return 0
+    _emit(args, partition.to_json())
 
 
-def _cmd_moduli(args: argparse.Namespace) -> int:
+def _cmd_moduli(args: argparse.Namespace) -> None:
     report = moduli_report(_context(args), state_cap=args.cap)
     _emit(args, report.to_json(), report.render_text())
-    return 0
 
 
 _PRESENT_MODES = {
@@ -184,17 +180,13 @@ _PRESENT_MODES = {
 }
 
 
-def _cmd_present(args: argparse.Namespace) -> int:
+def _cmd_present(args: argparse.Namespace) -> None:
     ctx = _context(args)
     root = _parse_root(args.tuple, ctx)
     modes = list(_PRESENT_MODES.values()) if args.mode == "all" else [_PRESENT_MODES[args.mode]]
     presentations = [root_group_presentation(ctx, root, mode=m) for m in modes]
-    if args.json:
-        print(json.dumps([p.to_json() for p in presentations], ensure_ascii=False))
-    else:
-        blocks = [f"[{p.kind}]\n{p.render_text()}" for p in presentations]
-        print("\n\n".join(blocks))
-    return 0
+    blocks = [f"[{p.kind}]\n{p.render_text()}" for p in presentations]
+    _emit(args, [p.to_json() for p in presentations], "\n\n".join(blocks))
 
 
 def _parse_bounds(arg: str) -> GridBounds:
@@ -207,20 +199,38 @@ def _parse_bounds(arg: str) -> GridBounds:
         key, _, value = item.partition("=")
         if key not in keys or not value or keys[key] in values:
             raise ValueError(
-                f"bad grid component {item!r}; expected each of g=..,n=..,alpha=..,r=.. at most once"
+                f"bad grid component {reprlib.repr(item)}; expected each of g=..,n=..,alpha=..,r=.. at most once"
             )
         values[keys[key]] = _integer(value)
     return GridBounds(**values)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int | None:
     results = run_suite(_parse_bounds(args.grid), seed=args.seed, state_cap=args.cap)
-    if args.json:
-        print(json.dumps([r.__dict__ for r in results], ensure_ascii=False))
-    else:
-        for res in results:
-            print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
-    return 0 if all(r.passed for r in results) else 1
+    lines = [f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}" for res in results]
+    _emit(args, [r.__dict__ for r in results], "\n".join(lines))
+    if not all(r.passed for r in results):
+        return 1
+
+
+# name: (handler, help, positional arguments), in the order --help lists them;
+# every subcommand takes --json, and the ones in _CAPPED also take --cap
+_COMMANDS = {
+    "chi": (_cmd_chi, "orbifold Euler characteristic of a signature", "signature"),
+    "roots": (_cmd_roots, "all covering orders admitting a root", "signature"),
+    "solve": (_cmd_solve, "Seifert data of the order-r covering", "signature order"),
+    "recognize": (_cmd_recognize, "recover the fibre index from Seifert invariants", "invariants"),
+    "enumerate": (_cmd_enumerate, "stream all root tuples in lexicographic order", "signature order"),
+    "twist": (_cmd_twist, "apply a twist word to a root tuple", "signature order tuple word"),
+    "reduce": (_cmd_reduce, "canonical form plus a replay-verified witness word", "signature order tuple"),
+    "orbits": (_cmd_orbits, "brute-force orbit partition of all root tuples", "signature order"),
+    "moduli": (_cmd_moduli, "component/sheet census of the moduli space", "signature order"),
+    "present": (_cmd_present, "group presentations for a root", "signature order tuple"),
+    "verify": (_cmd_verify, "closed-form vs brute-force cross-check table", "grid"),
+}
+
+# the subcommands that read the state cap: they enumerate, search or self-check
+_CAPPED = ("enumerate", "orbits", "moduli", "verify")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,94 +241,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument(
-        "--cap",
-        type=int,
-        help="positive state cap for enumerations, orbit searches and the moduli self-check, "
-        f"which also bounds their memory (default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
-    )
-
     parser = _Parser(
         prog="orbispin",
         description="Roots of unit tangent bundles of hyperbolic 2-orbifolds: "
         "existence, enumeration, canonical forms, and the moduli census.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, (func, help_text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.register("type", int, _integer)  # reads --cap and --seed; errors still say "int"
         p.set_defaults(func=func)
-        return p
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if name in _CAPPED:
+            p.add_argument(
+                "--cap",
+                type=int,
+                help="positive state cap for enumerations, orbit searches and the moduli self-check, "
+                f"which also bounds their memory (default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
+            )
+        for arg in positionals.split():
+            p.add_argument(arg, help="bounds like g=2,n=2,alpha=6,r=24" if arg == "grid" else None)
 
-    p = add("chi", _cmd_chi, "orbifold Euler characteristic of a signature")
-    p.add_argument("signature")
-
-    p = add("roots", _cmd_roots, "all covering orders admitting a root")
-    p.add_argument("signature")
-
-    p = add("solve", _cmd_solve, "Seifert data of the order-r covering")
-    p.add_argument("signature")
-    p.add_argument("order")
-
-    p = add("recognize", _cmd_recognize, "recover the fibre index from Seifert invariants")
-    p.add_argument("invariants")
-
-    p = add("enumerate", _cmd_enumerate, "stream all root tuples in lexicographic order")
-    p.add_argument("signature")
-    p.add_argument("order")
-
-    p = add("twist", _cmd_twist, "apply a twist word to a root tuple")
-    p.add_argument("signature")
-    p.add_argument("order")
-    p.add_argument("tuple")
-    p.add_argument("word")
-
-    p = add("reduce", _cmd_reduce, "canonical form plus a replay-verified witness word")
-    p.add_argument("signature")
-    p.add_argument("order")
-    p.add_argument("tuple")
-
-    p = add("orbits", _cmd_orbits, "brute-force orbit partition of all root tuples")
-    p.add_argument("signature")
-    p.add_argument("order")
-
-    p = add("moduli", _cmd_moduli, "component/sheet census of the moduli space")
-    p.add_argument("signature")
-    p.add_argument("order")
-
-    p = add("present", _cmd_present, "group presentations for a root")
-    p.add_argument("signature")
-    p.add_argument("order")
-    p.add_argument("tuple")
-    p.add_argument(
-        "--mode", choices=["orbifold", "unit-tangent", "root", "all"], default="all"
+    sub.choices["present"].add_argument("--mode", choices=[*_PRESENT_MODES, "all"], default="all")
+    sub.choices["verify"].add_argument(
+        "--seed", type=int, default=0, help="seed for the randomized witness check"
     )
-
-    p = add("verify", _cmd_verify, "closed-form vs brute-force cross-check table")
-    p.add_argument("grid", help="bounds like g=2,n=2,alpha=6,r=24")
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized witness check")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.cap is None:
-            args.cap = _integer(os.environ.get("ORBISPIN_STATE_CAP", str(DEFAULT_STATE_CAP)))
-        if args.cap < 1:
-            raise ValueError(f"the state cap must be positive, got {args.cap}")
-        return args.func(args)
+        if "cap" in args:  # the _CAPPED subcommands alone take and read a state cap
+            if args.cap is None:
+                args.cap = _integer(os.environ.get("ORBISPIN_STATE_CAP", str(DEFAULT_STATE_CAP)))
+            if args.cap < 1:
+                raise ValueError(f"the state cap must be positive, got {args.cap}")
+        return args.func(args) or 0  # a handler returns nothing on success
     except CountOverflow as err:
         print(f"CountOverflow: {err}", file=sys.stderr)
         return 3
     except OrbispinError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as err:
         print(f"UsageError: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

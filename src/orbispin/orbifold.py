@@ -17,6 +17,7 @@ conditions are decided here without ever leaving exact arithmetic.
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,22 +32,23 @@ def _as_int(value: Any, what: str, minimum: int | None = None) -> int:
     non-integers raise ValueError, and so do values below ``minimum``."""
     if type(value) is not int:
         if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
+            raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
         value = operator.index(value)
     if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {reprlib.repr(value)}")
     return value
 
 
 def _json_object(data: Any, shape: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """ValueError with the message ``shape`` unless ``data`` is a JSON object
     with every key of ``keys`` and none outside ``keys`` and ``optional``;
-    the message then names the unknown keys."""
+    the message then names the unknown keys, at most six, as reprlib
+    shortens a list."""
     if not isinstance(data, dict) or not set(keys) <= set(data):
         raise ValueError(shape)
     unknown = sorted(set(data) - set(keys) - set(optional), key=repr)
     if unknown:
-        raise ValueError(f"{shape}; unknown keys: {', '.join(map(repr, unknown))}")
+        raise ValueError(f"{shape}; unknown keys: {reprlib.repr(unknown)[1:-1]}")
 
 
 @dataclass(frozen=True)

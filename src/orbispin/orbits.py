@@ -57,8 +57,8 @@ per-call numpy overhead.  It decodes every state once and builds one packed
 image table per move, 8 B per state and move; no inverse tables are built.
 Each sweep lowers every state's label to the least label among its images,
 pulling labels from images only, then jumps pointers (label =
-label[label]).  Sweeps repeat until one changes nothing: at most 16 sweeps
-on every (g, r) within the bound, at (1, 145).  A label starts at the state
+label[label]).  Sweeps repeat until one changes nothing: at most 15 sweeps
+on every (g, r) within the bound, at (1, 115).  A label starts at the state
 itself, only decreases, and always names a member of the state's orbit.  At
 the fixed point label[x] <= label[m(x)] for every move m, and a move
 permutes each of its finite cycles, so the label is constant on every
@@ -118,11 +118,11 @@ class.
 one state (r = 1, or genus 0) needs none: its one orbit is the zero tuple,
 labelled by that tuple's canonical form, and numpy is not imported.  Else
 it chooses the tables when states x distinct moves is at most
-``_TABLE_CELLS`` = 2^16 at genus 1, so its tables take at most 512 KB,
-and at most ``_HANDLE_CELLS`` = 2^13 at genus >= 2, where the two engines
-cross (tables vs handles, best of 21 x 20 calls: (4, 2) 0.21 vs 0.23 ms,
-(2, 6) 0.22 vs 0.21, (2, 7) 0.28 vs 0.21, (3, 4) 0.78 vs 0.23).  Above
-that, genus >= 2 goes handle by handle and genus 1 to the search.
+``_TABLE_CELLS`` = 2^15 at genus 1, up to (1, 128), so its tables take
+at most 256 KB, and at most ``_HANDLE_CELLS`` = 2^13 at genus >= 2.  Both
+bounds sit where the engines cross: the tables and the search at genus 1,
+the tables and the handles at genus >= 2.  Above them, genus >= 2 goes
+handle by handle and genus 1 to the search.
 Of the 1,266 contexts of the benchmark's census, 731 have one state (237
 at genus 0, whose census runs no partition, and 494 at r = 1), the tables
 take 442 and the handles 93, at (2, 7) to (2, 11), (3, 4) and (3, 5).
@@ -215,8 +215,9 @@ _Move = tuple[str, int, int]
 _CHUNK = 1 << 14
 
 # the largest table size (states x distinct moves) searched by image tables at
-# genus 1; larger spaces go to the breadth-first search
-_TABLE_CELLS = 1 << 16
+# genus 1, 256 KB of tables at (1, 128), where the two engines cost about the
+# same; larger spaces go to the breadth-first search
+_TABLE_CELLS = 1 << 15
 
 # the same at genus >= 2, where larger spaces go handle by handle: the two
 # engines cost about the same at (2, 6) and (3, 3), and the handles win above

@@ -35,6 +35,7 @@ letters twist along the same curve.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -67,7 +68,7 @@ class TwistGenerator:
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {_FAMILIES}, got {reprlib.repr(self.family)}")
         object.__setattr__(self, "index", _as_int(self.index, "index", 1))
         object.__setattr__(self, "power", _as_int(self.power, "power"))
         if self.power == 0:
@@ -196,7 +197,7 @@ class StandardForm:
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_GENUS0, KIND_GENUS1, KIND_ALL_ZERO, KIND_LAST_ONE):
-            raise ValueError(f"unknown standard form kind {self.kind!r}")
+            raise ValueError(f"unknown standard form kind {reprlib.repr(self.kind)}")
         object.__setattr__(self, "order", _as_int(self.order, "order", 1))
         object.__setattr__(self, "genus", _as_int(self.genus, "genus", 0))
         if self.d is not None:

@@ -212,23 +212,67 @@ def test_deeply_nested_json_is_a_usage_error(capsys, argv):
     assert err == "UsageError: JSON input is nested too deeply\n"
 
 
+# the subcommands that read the state cap, and the ones that take no --cap
+_CAPPED = [
+    ("enumerate", SIG_G1C3, "2"), ("orbits", SIG_G1C3, "2"), ("moduli", SIG_G1C3, "2"),
+    ("verify", "g=1,n=1,alpha=4,r=4"),
+]
+_UNCAPPED = [
+    ("chi", SIG_G2), ("roots", SIG_G2), ("solve", SIG_G1C3, "2"),
+    ("recognize", '{"genus":2,"b":1,"pairs":[[3,1]]}'),
+    ("twist", SIG_G1C3, "2", "0,1", '[{"family":"V","index":1,"power":1}]'),
+    ("reduce", SIG_G1C3, "2", "1,1"), ("present", SIG_G1C3, "2", "0,0"),
+]
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "2.5", "1_0", "\u0662"])
 def test_bad_state_cap_env_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("ORBISPIN_STATE_CAP", value)
-    code, _, err = run(capsys, "chi", SIG_G2)
-    assert code == 2
-    assert err.startswith("UsageError:")
+    for argv in _CAPPED:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("UsageError:")
+
+
+@pytest.mark.parametrize("argv", _UNCAPPED, ids=lambda argv: argv[0])
+def test_only_the_capped_subcommands_read_the_state_cap(monkeypatch, capsys, argv):
+    code, out, err = run(capsys, *argv, "--cap", "5")
+    assert (code, out, err) == (2, "", "UsageError: unrecognized arguments: --cap 5\n")
+    monkeypatch.delenv("ORBISPIN_STATE_CAP", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("ORBISPIN_STATE_CAP", "abc")
+    assert run(capsys, *argv) == expected
 
 
 def test_integers_may_carry_a_sign_and_spaces(monkeypatch, capsys):
     # ASCII digits only (tests/cli_golden.json pins the refusals), but a
     # sign and surrounding spaces are still read, as int() reads them
-    monkeypatch.setenv("ORBISPIN_STATE_CAP", " +64 ")
     code, out, _ = run(capsys, "reduce", SIG_G1C3, " 2 ", "+1, -1 ")
     assert code == 0
     assert out.startswith("form: genus1 d=1\ncanonical: 0,1\n")
+    monkeypatch.setenv("ORBISPIN_STATE_CAP", " +3 ")
+    code, _, err = run(capsys, "enumerate", SIG_G1C3, "2")  # 4 states over a cap of 3
+    assert code == 3 and err.startswith("CountOverflow:")
     code, _, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r= 4", "--seed", "-3", "--cap", " 64")
     assert code == 0
+
+
+_LONG = "x" * 10**5
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", json.dumps({"genus": [0] * 10**5, "cone_points": []})),
+    ("chi", json.dumps({"genus": 2, "cone_points": [], **{f"k{i}": 0 for i in range(20_000)}})),
+    ("solve", SIG_G1C3, _LONG),
+    ("orbits", SIG_G2, "2", "--cap", "9" * 10**5),
+    ("verify", f"g=1,{_LONG}"),
+    ("twist", SIG_G1C3, "2", "0,1", json.dumps([{"family": _LONG, "index": 1, "power": 1}])),
+], ids=["genus", "unknown-keys", "order", "cap", "grid", "family"])
+def test_error_lines_quote_long_inputs_short(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("UsageError:") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_failed_invariant_exits_four(monkeypatch, capsys):
@@ -253,6 +297,18 @@ def test_verify_small_grid(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_exits_one_when_a_row_fails(monkeypatch, capsys):
+    import orbispin.cli as cli
+    from orbispin.verification import CheckResult
+
+    rows = [CheckResult("existence", True, "ok"), CheckResult("moduli-census", False, "(g=2, r=2): 3 != 2")]
+    monkeypatch.setattr(cli, "run_suite", lambda bounds, seed, state_cap: rows)
+    code, out, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r=4")
+    assert (code, out) == (1, "PASS  existence: ok\nFAIL  moduli-census: (g=2, r=2): 3 != 2\n")
+    code, out, _ = run(capsys, "verify", "g=1,n=1,alpha=4,r=4", "--json")
+    assert code == 1 and [row["passed"] for row in json.loads(out)] == [True, False]
 
 
 @pytest.mark.parametrize("grid", ["g=1,n=1,alpha=4,r=4,r=5", "g=1,n=1,alpha=4,r=4,g=1"])

@@ -215,9 +215,9 @@ def test_partition_matches_tuple_bfs():
         assert _records(partition) == bfs_partition(r, genus, standard), (genus, r)
 
 
-# 65,522 and 66,248 table cells (states x moves), either side of the engine
+# 32,768 and 33,282 table cells (states x moves), either side of the engine
 # choice at genus 1; genus >= 2 crosses its bound within _SMALL, at (2, 6) and (2, 7)
-_BOUNDARY = [(1, 181), (1, 182)]
+_BOUNDARY = [(1, 128), (1, 129)]
 _ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels, orbits._orbits_by_handles]
 
 
@@ -228,7 +228,7 @@ def _run(engine, r, genus, moves):
 
 @pytest.mark.parametrize("powers", [(1,), (2, -3)])
 def test_both_engines_match_tuple_bfs(powers):
-    assert 181**2 * 2 <= orbits._TABLE_CELLS < 182**2 * 2
+    assert 128**2 * 2 <= orbits._TABLE_CELLS < 129**2 * 2
     assert 6**4 * 5 <= orbits._HANDLE_CELLS < 7**4 * 5
     for genus, r in _SMALL + _BOUNDARY:
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
@@ -253,14 +253,14 @@ def _refuse(*args):
 def test_engine_choice_follows_table_size(monkeypatch):
     # at genus >= 2 at most 2^13 cells (states x moves) go to the tables and
     # larger spaces handle by handle: (2, 6) has 6,480 cells, (2, 7) 12,005,
-    # (3, 3) 5,832 and (3, 4) 32,768.  At genus 1 at most 2^16 cells go to the
-    # tables and larger spaces to the breadth-first search: (1, 181) has
-    # 65,522 and (1, 182) 66,248.  A space of one state (r = 1, or genus 0)
+    # (3, 3) 5,832 and (3, 4) 32,768.  At genus 1 at most 2^15 cells go to the
+    # tables and larger spaces to the breadth-first search: (1, 128) has
+    # 32,768 and (1, 129) 33,282.  A space of one state (r = 1, or genus 0)
     # runs no engine at all
     engines = {"_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles"}
     for genus, r, engine in [(2, 6, "_orbits_by_tables"), (2, 7, "_orbits_by_handles"),
                              (3, 3, "_orbits_by_tables"), (3, 4, "_orbits_by_handles"),
-                             (1, 181, "_orbits_by_tables"), (1, 182, "_orbits_by_levels"),
+                             (1, 128, "_orbits_by_tables"), (1, 129, "_orbits_by_levels"),
                              (1, 1, None), (3, 1, None), (0, 5, None)]:
         with monkeypatch.context() as patch:
             for other in engines - {engine}:

@@ -211,9 +211,13 @@ def test_twist_word_refuses_other_letters(letters):
 
 
 def _assert_short_replaying_witness(root):
+    # adjacent powers of one twist are folded into one letter (or dropped
+    # when they cancel), so no two neighbouring letters twist along one curve
     form, witness = reduce_with_witness(root)
     assert apply_word(root, witness) == form.canonical_root()
     assert len(witness) <= 8 * root.genus * root.order.bit_length(), (root, len(witness))
+    keys = [(gen.family, gen.index) for gen in witness.word]
+    assert all(a != b for a, b in zip(keys, keys[1:])), (root, keys)
 
 
 def test_witness_length_is_logarithmic_exhaustive_small():
@@ -244,17 +248,8 @@ def test_witness_length_on_long_stepping_roots():
 
 
 def test_witness_letters_never_repeat_a_twist():
-    # adjacent powers of one twist are folded into one letter (or dropped
-    # when they cancel), over every root with r^{2g} <= 4096
-    for genus in range(7):
-        for r in range(1, 65):
-            if genus and r ** (2 * genus) > 4096:
-                break
-            for coords in product(range(r), repeat=2 * genus):
-                _, witness = reduce_with_witness(RootTuple(r, coords))
-                keys = [(gen.family, gen.index) for gen in witness.word]
-                assert all(a != b for a, b in zip(keys, keys[1:])), (r, coords, keys)
-    # U U^-1 pairs cancel and W^2 W^2999 becomes one letter: 16 letters -> 9
+    # the witness checks above find no repeated twist; here U U^-1 pairs
+    # cancel and W^2 W^2999 becomes one letter: 16 letters -> 9
     root = RootTuple(6001, (1,) * 6)
     form, witness = reduce_with_witness(root)
     assert len(witness) == 9
@@ -270,6 +265,11 @@ def test_standard_form_refuses_non_integers():
         StandardForm("all_zero", 4, 2.0)
     with pytest.raises(ValueError):
         StandardForm("genus0", True, 0)
+
+
+def test_an_unknown_form_kind_is_quoted_short():
+    with pytest.raises(ValueError, match=r"^unknown standard form kind 'x+\.\.\.x+'$"):
+        StandardForm("x" * 10**5, 4, 2)
 
 
 def test_witness_letters_equal_validated_generators():
