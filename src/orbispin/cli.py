@@ -46,8 +46,11 @@ from .verification import GridBounds, run_suite
 
 def _load_text(arg: str) -> str:
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg[1:], encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as err:  # its message quotes the whole path
+            raise ValueError(str(err).replace(repr(err.filename), reprlib.repr(err.filename))) from None
     return arg
 
 
@@ -233,11 +236,23 @@ _COMMANDS = {
 _CAPPED = ("enumerate", "orbits", "moduli", "verify")
 
 
+# what argparse quotes whole of outside input: unrecognised arguments and an
+# ambiguous option bare, other values as repr() quotes a str
+_OUTSIDE = re.compile(r"(?<=^unrecognized arguments: ).+|(?<=^ambiguous option: ).+(?= could match )"
+                      r"|'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"", re.S)
+
+
+def _cut(text: str, head: int = 13, tail: int = 14) -> str:
+    """``text`` cut in the middle as reprlib.repr cuts a repr, to its default 30 characters."""
+    return text if len(text) <= head + 3 + tail else f"{text[:head]}...{text[-tail:]}"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument errors reach ``main`` as ValueError: one UsageError line, exit 2."""
+    """Argument errors reach ``main`` as ValueError: one UsageError line, exit 2,
+    with each long outside value cut short."""
 
     def error(self, message: str) -> NoReturn:
-        raise ValueError(message)
+        raise ValueError(_OUTSIDE.sub(lambda value: _cut(value[0]), message))
 
 
 def build_parser() -> argparse.ArgumentParser:

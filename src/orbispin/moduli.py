@@ -98,17 +98,17 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
     total = r ** (2 * g)
     components: list[tuple[StandardForm, int]]
     if g == 0:
-        components = [(StandardForm(KIND_GENUS0, r, 0), 1)]
+        components = [(StandardForm._trusted(KIND_GENUS0, r, 0), 1)]
     elif g == 1:
         components = [
-            (StandardForm(KIND_GENUS1, r, 1, d), genus_one_orbit_size(r, d))
+            (StandardForm._trusted(KIND_GENUS1, r, 1, d), genus_one_orbit_size(r, d))
             for d in divisors(r)
         ]
     elif r % 2 == 1:
-        components = [(StandardForm(KIND_ALL_ZERO, r, g), total)]
+        components = [(StandardForm._trusted(KIND_ALL_ZERO, r, g), total)]
     else:
         counts = orbit_count_closed_form(g, r)  # indexed by parity: (even, odd)
-        forms = (StandardForm(KIND_ALL_ZERO, r, g), StandardForm(KIND_LAST_ONE, r, g))
+        forms = (StandardForm._trusted(KIND_ALL_ZERO, r, g), StandardForm._trusted(KIND_LAST_ONE, r, g))
         components = [(form, counts[form.invariant]) for form in forms]
     report = ModuliReport(ctx, tuple(components))
     if g and state_cap is not None and total <= state_cap:  # genus 0: one state, no search

@@ -67,6 +67,13 @@ class OrbifoldSignature:
         cones = tuple(_as_int(a, "cone multiplicity", 2) for a in self.cone_multiplicities)
         object.__setattr__(self, "cone_multiplicities", cones)
 
+    @classmethod
+    def _trusted(cls, genus: int, cones: tuple[int, ...]) -> "OrbifoldSignature":
+        """A signature from an int genus >= 0 and int multiplicities >= 2, unchecked."""
+        sig = object.__new__(cls)
+        sig.__dict__.update(genus=genus, cone_multiplicities=cones)
+        return sig
+
     @property
     def num_cone_points(self) -> int:
         return len(self.cone_multiplicities)

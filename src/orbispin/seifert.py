@@ -17,9 +17,10 @@ A covering datum is therefore its signature and an admissible order r
 alone: a :class:`RootContext` is built from (signature, r), derives
 beta_j = -r^{-1} mod alpha_j, the k_j, b and e once, and checks them by
 r*e = chi.  ``recognize_fibre_index`` inverts the process: it checks each
-fibre relation of given invariants at the recovered r, then builds the
-context.  ``RootContext.from_json`` refuses data that differs from the
-derived data.
+fibre relation of given invariants at the recovered r, which makes them the
+derived data, and builds the context from the data it has checked; only
+``RootContext(signature, r)`` derives.  ``RootContext.from_json`` refuses
+data that differs from the derived data.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class SeifertInvariants:
         return inv
 
     def base_signature(self) -> OrbifoldSignature:
-        return OrbifoldSignature(self.genus, tuple(a for a, _ in self.multiple_fibres))
+        return OrbifoldSignature._trusted(self.genus, tuple(a for a, _ in self.multiple_fibres))
 
     def _minus_euler_product(self) -> int:
         """-e P = b P + sum_j beta_j P / alpha_j, an integer, for P the product
@@ -115,11 +116,20 @@ class RootContext:
         inv = SeifertInvariants._trusted(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
         # r*e = chi times the product P of the multiplicities, in integers; given
         # the fibre relations, the same as r*b = 2g-2 - sum(k_j)
-        if -r * inv._minus_euler_product() != sig._product_chi:
+        minus_euler = inv._minus_euler_product()
+        if -r * minus_euler != sig._product_chi:
             raise RuntimeError(f"identity r*e = chi fails for {sig.to_json()} at r = {r}")
-        e = inv.euler_number()
-        for name, value in {"order": r, "invariants": inv, "twist_integers": ks, "euler_number": e}.items():
-            object.__setattr__(self, name, value)
+        e = Fraction(-minus_euler, prod(sig.cone_multiplicities))
+        self.__dict__.update(order=r, invariants=inv, twist_integers=ks, euler_number=e)
+
+    @classmethod
+    def _trusted(cls, sig: OrbifoldSignature, r: int, inv: SeifertInvariants, ks: tuple[int, ...],
+                 minus_euler: int) -> "RootContext":
+        """The context of an admissible r from its checked invariants, k_j and -e P, unchecked."""
+        ctx = object.__new__(cls)
+        e = Fraction(-minus_euler, prod(sig.cone_multiplicities))
+        ctx.__dict__.update(signature=sig, order=r, invariants=inv, twist_integers=ks, euler_number=e)
+        return ctx
 
     @property
     def genus(self) -> int:
@@ -167,8 +177,8 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     Requires a hyperbolic base.  Computes e = -(b + sum beta/alpha), demands
     e < 0, r = chi/e a positive integer and each fibre relation
     r*beta_j = alpha_j - 1 + k_j*alpha_j for an integer k_j; these make the
-    given invariants those of RootContext(signature, r), which is returned.
-    Any failure raises :class:`NotSL2Quotient`.
+    given invariants those of RootContext(signature, r), which is built from
+    the checked data alone.  Any failure raises :class:`NotSL2Quotient`.
     """
     sig = inv.base_signature()
     assert_hyperbolic(sig)
@@ -179,9 +189,14 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
     r, rem = divmod(-sig._product_chi, minus_euler)  # chi/e
     if rem or r <= 0:
         raise NotSL2Quotient(f"chi/e = {Fraction(-sig._product_chi, minus_euler)} is not a positive integer")
+    ks = []
     for a, beta in inv.multiple_fibres:
-        if (r * beta - a + 1) % a:
+        k, rem = divmod(r * beta - a + 1, a)
+        if rem:
             raise NotSL2Quotient(
                 f"covering relation fails at fibre ({a}, {beta}) for the recovered fibre index r = {r}"
             )
-    return RootContext(sig, r)
+        ks.append(k)
+    # r*beta_j = -1 mod alpha_j gives gcd(r, alpha_j) = 1 and beta_j = -r^{-1} mod
+    # alpha_j; r*(-e P) = -P chi gives r | P chi and, with the fibre relations, b
+    return RootContext._trusted(sig, r, inv, tuple(ks), minus_euler)

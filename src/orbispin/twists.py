@@ -217,6 +217,13 @@ class StandardForm:
         if self.kind == KIND_LAST_ONE and self.order % 2 != 0:
             raise ValueError("last_one form occurs only for even order")
 
+    @classmethod
+    def _trusted(cls, kind: str, order: int, genus: int, d: int | None = None) -> "StandardForm":
+        """A form from a kind, (r, g) and d that meet the checks above, unchecked."""
+        form = object.__new__(cls)
+        form.__dict__.update(kind=kind, order=order, genus=genus, d=d)
+        return form
+
     @property
     def invariant(self) -> int:
         """The value on this class of the twist invariant that tells the
@@ -238,7 +245,7 @@ class StandardForm:
         return tuple(coords)
 
     def canonical_root(self) -> RootTuple:
-        return RootTuple(self.order, self.canonical_coords())
+        return RootTuple._trusted(self.order, self.canonical_coords())
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {"kind": self.kind}
@@ -262,13 +269,13 @@ def canonical_form(root: RootTuple) -> StandardForm:
     """
     r, g = root.order, root.genus
     if g == 0:
-        return StandardForm(KIND_GENUS0, r, 0)
+        return StandardForm._trusted(KIND_GENUS0, r, 0)
     if g == 1:
         d = gcd(root.coords[0], root.coords[1], r)
-        return StandardForm(KIND_GENUS1, r, 1, d)
+        return StandardForm._trusted(KIND_GENUS1, r, 1, d)
     if r % 2 == 1 or a_invariant(root) == g % 2:
-        return StandardForm(KIND_ALL_ZERO, r, g)
-    return StandardForm(KIND_LAST_ONE, r, g)
+        return StandardForm._trusted(KIND_ALL_ZERO, r, g)
+    return StandardForm._trusted(KIND_LAST_ONE, r, g)
 
 
 def _signed_residue(x: int, r: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,33 @@ def test_error_lines_quote_long_inputs_short(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("UsageError:") and err.count("\n") == 1 and len(err) < 200
+
+
+_COMMANDS = "'chi', 'roots', 'solve', 'recognize', 'enumerate', 'twist', 'reduce', 'orbits', 'moduli', 'present', 'verify'"
+
+
+@pytest.mark.parametrize("argv, line", [
+    ((f"chi{_LONG}",), f"argument command: invalid choice: {reprlib.repr('chi' + _LONG)} (choose from {_COMMANDS})"),
+    (("chi", SIG_G2, _LONG), f"unrecognized arguments: {_LONG[:13]}...{_LONG[-14:]}"),
+    (("present", SIG_G1C3, "2", "0,1", "--mode", _LONG),
+     f"argument --mode: invalid choice: {reprlib.repr(_LONG)} (choose from 'orbifold', 'unit-tangent', 'root', 'all')"),
+    (("chi", SIG_G2, f"--={_LONG}"), f"ambiguous option: --={_LONG[:10]}...{_LONG[-14:]} could match --help, --json"),
+], ids=["command", "extra-argument", "mode", "ambiguous-option"])
+def test_argparse_errors_quote_long_inputs_short(capsys, argv, line):
+    # argparse formats these itself; a short value stays whole, as in "unknown-command",
+    # and a long one is cut to reprlib's 30 characters, quotes included
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"UsageError: {line}\n" and len(err) <= 200 + 1
+
+
+def test_unreadable_file_argument_quotes_its_path_short(capsys, monkeypatch, tmp_path):
+    code, out, err = run(capsys, "chi", f"@{_LONG}")
+    assert (code, out) == (2, "")
+    assert err == f"UsageError: [Errno 36] File name too long: {reprlib.repr(_LONG)}\n"
+    monkeypatch.chdir(tmp_path)  # a short path is quoted whole, as the OSError quotes it
+    code, _, err = run(capsys, "chi", "@missing.json")
+    assert (code, err) == (2, "UsageError: [Errno 2] No such file or directory: 'missing.json'\n")
 
 
 def test_failed_invariant_exits_four(monkeypatch, capsys):

@@ -130,11 +130,16 @@ def test_context_checks_r_times_e_equals_chi(monkeypatch):
 
 
 def test_round_trip_recognition_on_grid():
-    for sig in hyperbolic_signatures(GridBounds(max_genus=2, max_cones=2, max_multiplicity=6)):
-        for r in admissible_root_orders(sig):
-            ctx = solve_raymond_vasquez(sig, r)
-            back = recognize_fibre_index(ctx.invariants)
-            assert back == ctx and back.invariants == ctx.invariants
+    # every order on the census grid: recognition builds its context from the data
+    # it checked, and that context must be the one RootContext(signature, r) derives
+    contexts = [solve_raymond_vasquez(sig, r) for sig in GRID for r in admissible_root_orders(sig)]
+    assert sum(ctx.order ** (2 * ctx.genus) <= 1 << 14 for ctx in contexts) == 1266  # the census's own
+    for ctx in contexts:
+        back = recognize_fibre_index(ctx.invariants)
+        assert back == ctx and hash(back) == hash(ctx) and repr(back) == repr(ctx)
+        assert back.to_json() == ctx.to_json() and back.invariants == ctx.invariants
+        assert back.twist_integers == ctx.twist_integers and back.euler_number == ctx.euler_number
+        assert type(back.order) is int and type(back.euler_number) is Fraction
 
 
 def test_equal_multiplicities_share_beta_and_k():

@@ -1,23 +1,31 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from orbispin import (
     OddOrder,
+    OrbifoldSignature,
     RootTuple,
     StandardForm,
     TwistGenerator,
     TwistWord,
     a_invariant,
+    admissible_root_orders,
     apply_generator,
     apply_word,
     canonical_form,
+    moduli_report,
+    partition_orbits,
     reduce_with_witness,
+    solve_raymond_vasquez,
     standard_generators,
     w_value,
 )
+from orbispin.verification import GridBounds, hyperbolic_signatures
 
 
 def _all_unit_generators(genus):
@@ -300,3 +308,32 @@ def test_library_made_roots_equal_validated_ones():
     # the trusted result needs integer powers, which only a TwistGenerator guarantees
     with pytest.raises(ValueError):
         apply_word(RootTuple(4, (1, 1)), [SimpleNamespace(family="U", index=1, power=0.5)])
+
+
+def _library_forms(ctx, search):
+    """The forms moduli_report and canonical_form build at ctx's (g, r): the
+    closed-form labels, the forms of their canonical roots and, with
+    ``search``, the labels of the orbit partition."""
+    labels = [label for label, _ in moduli_report(ctx, state_cap=None).components]
+    forms = labels + [canonical_form(label.canonical_root()) for label in labels]
+    return forms + [rec.label for rec in partition_orbits(ctx).orbits] if search else forms
+
+
+def test_library_made_forms_equal_validated_ones():
+    contexts = {}  # one per (g, r): on the census grid, then at the partition goldens' pairs
+    for sig in hyperbolic_signatures(GridBounds(max_genus=3, max_cones=3, max_multiplicity=9)):
+        for r in admissible_root_orders(sig):
+            if r ** (2 * sig.genus) <= 1 << 14:
+                contexts.setdefault((sig.genus, r, True), solve_raymond_vasquez(sig, r))
+    golden = json.loads(Path(__file__).with_name("partition_golden.json").read_text(encoding="utf-8"))
+    for pair, entry in golden["pairs"].items():
+        g, r = map(int, pair.split(","))
+        contexts[g, r, False] = solve_raymond_vasquez(OrbifoldSignature(g, tuple(entry["cones"])), r)
+    assert len(contexts) == 135 + 362
+    for (_, _, search), ctx in contexts.items():
+        for form in _library_forms(ctx, search):
+            validated = StandardForm(form.kind, form.order, form.genus, form.d)
+            assert form == validated and hash(form) == hash(validated) and repr(form) == repr(validated)
+            assert form.to_json() == validated.to_json() and form.invariant == validated.invariant
+            root = RootTuple(form.order, form.canonical_coords())
+            assert form.canonical_root() == root and repr(form.canonical_root()) == repr(root)
