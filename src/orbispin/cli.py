@@ -243,13 +243,15 @@ _OUTSIDE = re.compile(r"(?<=^unrecognized arguments: ).+|(?<=^ambiguous option: 
 
 
 def _cut(text: str, head: int = 13, tail: int = 14) -> str:
-    """``text`` cut in the middle as reprlib.repr cuts a repr, to its default 30 characters."""
+    """``text``, unprintable characters escaped as by repr, cut as reprlib.repr cuts a repr to 30 characters."""
+    if not text.isprintable():
+        text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
     return text if len(text) <= head + 3 + tail else f"{text[:head]}...{text[-tail:]}"
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors reach ``main`` as ValueError: one UsageError line, exit 2,
-    with each long outside value cut short."""
+    with each outside value escaped and a long one cut short."""
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(_OUTSIDE.sub(lambda value: _cut(value[0]), message))

@@ -20,7 +20,6 @@ import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, prod
 from typing import Any
 
@@ -51,6 +50,13 @@ def _json_object(data: Any, shape: str, keys: tuple[str, ...], optional: tuple[s
         raise ValueError(f"{shape}; unknown keys: {reprlib.repr(unknown)[1:-1]}")
 
 
+def _product_chi(genus: int, cones: tuple[int, ...]) -> int:
+    # P chi for P the product of the multiplicities: P / alpha_j is an
+    # integer, so P clears every denominator of chi
+    product = prod(cones)
+    return (2 - 2 * genus - len(cones)) * product + sum(product // a for a in cones)
+
+
 @dataclass(frozen=True)
 class OrbifoldSignature:
     """Genus plus cone-point multiplicities of a closed orientable 2-orbifold.
@@ -63,28 +69,21 @@ class OrbifoldSignature:
     cone_multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "genus", _as_int(self.genus, "genus", 0))
+        genus = _as_int(self.genus, "genus", 0)
         cones = tuple(_as_int(a, "cone multiplicity", 2) for a in self.cone_multiplicities)
-        object.__setattr__(self, "cone_multiplicities", cones)
+        # _product_chi is no field, so ==, hash and repr do not read it
+        self.__dict__.update(genus=genus, cone_multiplicities=cones, _product_chi=_product_chi(genus, cones))
 
     @classmethod
     def _trusted(cls, genus: int, cones: tuple[int, ...]) -> "OrbifoldSignature":
         """A signature from an int genus >= 0 and int multiplicities >= 2, unchecked."""
         sig = object.__new__(cls)
-        sig.__dict__.update(genus=genus, cone_multiplicities=cones)
+        sig.__dict__.update(genus=genus, cone_multiplicities=cones, _product_chi=_product_chi(genus, cones))
         return sig
 
     @property
     def num_cone_points(self) -> int:
         return len(self.cone_multiplicities)
-
-    @cached_property
-    def _product_chi(self) -> int:
-        # P chi for P the product of the multiplicities: P / alpha_j is an
-        # integer, so P clears every denominator of chi
-        product = prod(self.cone_multiplicities)
-        return (2 - 2 * self.genus - self.num_cone_points) * product + sum(
-            product // a for a in self.cone_multiplicities)
 
     def to_json(self) -> dict[str, Any]:
         return {"genus": self.genus, "cone_points": list(self.cone_multiplicities)}

@@ -82,16 +82,20 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2. An orbit is a union of product classes.  An edge of W_h changes only
    the classes of handles h and h + 1, whatever the others are, as W_1
    does those of handles 1 and 2, so every W_h joins the same class pairs:
-   those W_1 joins on Z_r^4, found once.  W_1 fixes s_1 and s_2, and
-   omega = s_1 - s_2 + 1 reads no t, so its new t_1 reads only (s_1, s_2,
-   t_1) and its new t_2 only (s_1, s_2, t_2): on a row (s_1, s_2) its
-   class-pair edges are the product of each handle's (class before, class
-   after) pairs, and their union over the r^2 rows is its edges on Z_r^4.
-   One pass over the r^3 cells of (s_1, s_2, t), t for both t_1 and t_2,
-   in slabs of s_1 of at most max(r^2, ``_CHUNK``) cells, marks each
-   handle's pairs per row, and a bool matrix product collects the edges,
-   along which propagation gives the partition.  The orbits are the join
-   of it tensored with the identity at each of the g - 1 places.
+   those W_1 joins on Z_r^4, found once.  On a row (s_1, s_2), W_1 moves
+   t_1 by -omega and t_2 by +omega, omega = s_1 - s_2 + 1, so its edges
+   there are the product of each handle's (class before, class after)
+   pairs, and their union over the r^2 rows is its edges on Z_r^4.  With
+   M[s, v] the pairs (class of (s, t), class of (s, t + v)) over t, handle
+   2's pairs are M[s_2, omega] and handle 1's are M[s_1, omega] reversed.
+   One pass over the r^3 cells (s, v, t), in slabs of v of at most
+   max(r^2, ``_CHUNK``) cells, builds M.  Inverting omega(s_1, .), a
+   permutation that ``_twist`` gives as the new t_2 at t_2 = 0, finds the
+   rows that carry each omega, and one float32 0/1 matrix product per slab
+   collects their edges: BLAS computes it exactly, as its entries are
+   counts below 2^24, positive when one of their terms is.  Propagation
+   along the edges gives the partition, and the orbits are its join
+   tensored with the identity at each of the g - 1 places.
 3. Class ids are ranked by least member and a product class is packed in
    their mixed radix, so index order is the order of least members.  Its
    least member and size come from its handles' by outer products.
@@ -102,8 +106,9 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    handles' parities, or both as soon as one of its handles' classes has
    both; outer products give these too.  Memory is one handle's arrays of
    r^2 entries, d(r)^g product classes, one slab's arrays and d(r)^4
-   bools: a traced peak of 0.66-0.83 MB at (2, 31), (2, 32), (2, 64) and
-   (2, 100), and 0.2 MB or less at (3, 8), (3, 16) and (4, 8).
+   float32s: a traced peak of 0.44-0.91 MB at (2, 31), (2, 32), (2, 64)
+   and (2, 100), 1.5 MB at (2, 120), 11.6 MB at (2, 360) and 0.12 MB or
+   less at (3, 8), (3, 16) and (4, 8).
 
 The tables and the handles end in one tail (``_records``), over classes of
 states ranked by least member; for the tables every state is its own
@@ -480,23 +485,29 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     count = members.size
     total = count**genus
 
-    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4: per
-    # slab of s_1 on the grid (s_1, s_2, t), shown[h, row, (a, a')] marks handle h + 1's
-    # class moves on a row (s_1, s_2) and met[(a, a'), (b, b')] collects their products;
-    # a slab is one s_1 of r^2 cells past r^2 = _CHUNK
-    cells = count * count
+    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4.  On a
+    # row (s_1, s_2), W_1 moves t_1 by -omega and t_2 by +omega, and rows[s_1, v] is the
+    # s_2 whose row has omega = v, omega being the new t_2 at t_2 = 0.  Per slab of v,
+    # shown[(s, v), (a, a')] marks the pairs (class of (s, t), class of (s, t + v)) over t:
+    # on the row (s_1, rows[s_1, v]) handle 2 moves by those at s_2 and handle 1 by those
+    # at s_1 reversed, and one 0/1 product collects met[(a', a), (b, b')]
+    cells, zr = count * count, np.arange(r)
+    classes = class_of.reshape(r, r)
+    # shifted[s, v, t] = classes[s, (t + v) mod r]: a view of columns v to v + r - 1 of twice
+    twice = np.concatenate((classes, classes), axis=1)
+    shifted = np.ndarray((r, r, r), twice.dtype, twice, 0, twice.strides + twice.strides[1:])
+    rows = np.empty((r, r), dtype=zr.dtype)
+    rows[zr[:, None], _mod(dict(_twist([zr[:, None], 0, zr, 0], r, "W", 0, 1))[3], r)] = zr
     met = np.zeros((cells, cells), dtype=bool)
-    t, step = np.arange(r), max(1, _CHUNK // (r * r))
-    s2 = t[:, None]
+    step = max(1, _CHUNK // (r * r))  # a slab is one v of r^2 cells past r^2 = _CHUNK
     for start in range(0, r, step):
-        s1 = np.arange(start, min(start + step, r))[:, None, None]
-        moved = dict(_twist([s1, t, s2, t], r, "W", 0, 1))
-        shown = np.zeros((2, s1.size * r, cells), dtype=bool)
-        row = np.arange(s1.size * r).reshape(s1.size, r, 1)
-        for h, s in enumerate((s1, s2)):
-            shown[h, row, class_of[s * r + t] * count + class_of[s * r + _mod(moved[2 * h + 1], r)]] = True
-        met |= shown[0].T @ shown[1]
-    src, dst = np.nonzero(met.reshape((count,) * 4).transpose(0, 2, 1, 3).reshape(cells, cells))
+        k = min(step, r - start)
+        spots = shifted[:, start:start + k] + (classes * count + zr[:, None] * (k * cells))[:, None]
+        spots += (np.arange(k) * cells)[:, None]  # the flat positions in shown of the pairs
+        shown = np.zeros((r * k, cells), dtype=np.float32)
+        shown.reshape(-1)[spots] = 1
+        met |= shown.T @ shown.take(rows[:, start:start + k] * k + np.arange(k), axis=0).reshape(-1, cells) > 0
+    src, dst = np.nonzero(met.reshape((count,) * 4).transpose(1, 2, 0, 3).reshape(cells, cells))
     joined = _least_labels(np.arange(cells), [_pull_both_ways(src, dst)])
 
     # 3. the join of that partition at each pair of handles (h, h + 1): an edge from each

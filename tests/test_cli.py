@@ -294,6 +294,20 @@ def test_argparse_errors_quote_long_inputs_short(capsys, argv, line):
     assert err == f"UsageError: {line}\n" and len(err) <= 200 + 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("chi", SIG_G2, "a\nb"), r"unrecognized arguments: a\nb"),
+    (("chi", SIG_G2, "a\r\x00\tb\u2028"), r"unrecognized arguments: a\r\x00\tb\u2028"),
+    (("chi", SIG_G2, "--=a\nb"), r"ambiguous option: --=a\nb could match --help, --json"),
+    (("chi", SIG_G2, "\n" * 40), r"unrecognized arguments: \n\n\n\n\n\n\...\n\n\n\n\n\n\n"),
+], ids=["newline", "controls", "ambiguous-option", "long"])
+def test_argparse_errors_escape_unprintable_inputs(capsys, argv, line):
+    # argparse reports these values bare; each unprintable character is escaped as
+    # repr escapes it, before a long value is cut, so the error stays one line
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"UsageError: {line}\n"
+
+
 def test_unreadable_file_argument_quotes_its_path_short(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "chi", f"@{_LONG}")
     assert (code, out) == (2, "")

@@ -250,6 +250,16 @@ def _refuse(*args):
     raise AssertionError("another engine was chosen")
 
 
+def _closed_form_sizes(partition: OrbitPartition):
+    """A genus >= 2 partition's sizes as orbit_count_closed_form gives them: the
+    one size at odd r, and (even, odd) by the parity of the labels at even r."""
+    if partition.order % 2:
+        (size,) = partition.sizes()
+        return size
+    sizes = {rec.label.invariant: rec.size for rec in partition.orbits}
+    return sizes.get(0), sizes.get(1)
+
+
 def test_engine_choice_follows_table_size(monkeypatch):
     # at genus >= 2 at most 2^13 cells (states x moves) go to the tables and
     # larger spaces handle by handle: (2, 6) has 6,480 cells, (2, 7) 12,005,
@@ -273,17 +283,21 @@ def test_engine_choice_follows_table_size(monkeypatch):
         elif genus == 1:
             sizes = {rec.label.d: rec.size for rec in partition.orbits}
             assert sizes == {d: genus_one_orbit_size(r, d) for d in divisors(r)}
-        elif r % 2:
-            assert partition.sizes() == (orbit_count_closed_form(genus, r),)
-        else:  # the closed form is indexed by parity: (even, odd)
-            sizes = {rec.label.invariant: rec.size for rec in partition.orbits}
-            assert sizes == dict(enumerate(orbit_count_closed_form(genus, r)))
+        else:
+            assert _closed_form_sizes(partition) == orbit_count_closed_form(genus, r)
 
 
-@pytest.mark.parametrize("r", range(9, 17))
+@pytest.mark.parametrize("r", [*range(9, 17), 18, 20, 24])
 def test_handle_engine_matches_the_tables_at_genus_two(r):
-    # 32,805 to 327,680 cells, 2 to 6 classes per handle
+    # 32,805 to 1,990,656 cells, 2 to 8 classes per handle: d(r) is 6 at
+    # r = 18 and 20 and 8 at r = 24, so W joins among up to 64 class pairs
     assert orbits._orbits_by_handles(r, 2) == orbits._orbits_by_tables(r, 2, orbits._unit_moves(r, 2))
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_handle_engine_matches_the_tables_at_genus_three(r):
+    # the W join of two handles, tensored with the identity at the third
+    assert orbits._orbits_by_handles(r, 3) == orbits._orbits_by_tables(r, 3, orbits._unit_moves(r, 3))
 
 
 @pytest.mark.parametrize("genus, r", [(2, 11), (2, 12), (3, 5)])
@@ -423,17 +437,25 @@ def test_w_twist_factors_by_handle():
     # the handle engine's W join is a product over the handles on each row
     # (s_1, s_2): W_1 changes t_1 and t_2 alone, its new t_1 does not read t_2
     # and its new t_2 does not read t_1.  Each digit on an axis of its own
-    r = 5
-    digits = [np.arange(r).reshape((-1,) + (1,) * (3 - axis)) for axis in range(4)]
-    for m in range(r):
-        moved = dict(orbits._twist(digits, r, "W", 0, m))
-        assert sorted(moved) == [1, 3]
-        assert moved[1].shape == (r, r, r, 1)
-        assert moved[3].shape == (r, 1, r, r)
+    for r in (5, 6):
+        digits = [np.arange(r).reshape((-1,) + (1,) * (3 - axis)) for axis in range(4)]
+        for m in range(r):
+            moved = dict(orbits._twist(digits, r, "W", 0, m))
+            assert sorted(moved) == [1, 3]
+            assert moved[1].shape == (r, r, r, 1)
+            assert moved[3].shape == (r, 1, r, r)
+        # and on every (s_1, s_2, t) the unit W_1 moves t_1 to t - omega and t_2
+        # to t + omega, omega read as the engine reads it: the new t_2 at t_2 = 0.
+        # No partition can tell -omega from omega, as one handle's classes are
+        # symmetric under t -> -t
+        s1, s2, t = np.ix_(range(r), range(r), range(r))
+        omega = dict(orbits._twist([s1[..., 0], 0, s2[..., 0], 0], r, "W", 0, 1))[3][..., None] % r
+        moved = dict(orbits._twist([s1, t, s2, t], r, "W", 0, 1))
+        assert (moved[1] % r == (t - omega) % r).all() and (moved[3] % r == (t + omega) % r).all()
 
 
 def test_handle_engine_in_small_slabs_matches_tuple_bfs(monkeypatch):
-    # with _CHUNK = 5 each slab of the grid (s_1, s_2, t) holds one s_1, so the
+    # with _CHUNK = 5 each slab of the grid (s, omega, t) holds one omega, so the
     # W join accumulates over r slabs; at (2, 12) each handle has 6 classes
     monkeypatch.setattr(orbits, "_CHUNK", 5)
     for genus, r in [(2, 2), (2, 3), (2, 4), (2, 12), (3, 2), (3, 3)]:
@@ -563,12 +585,13 @@ def test_search_peak_memory_per_state():
 
 
 def test_handle_engine_peak_memory():
-    # one handle's arrays of r^2 entries, d(r)^g product classes and one slab
-    # of at most 2^14 cells of the grid (s_1, s_2, t): 0.66 MB at (2, 31) and
-    # 0.83 MB at (2, 64), against 2.9 B/state, 2.7 MB, for the search at (2, 31)
+    # one handle's arrays of r^2 entries, d(r)^g product classes and one slab of
+    # at most max(r^2, 2^14) cells of the grid (s, omega, t): 0.44 MB at (2, 31),
+    # 0.9 MB at (2, 100) and 1.5 MB at (2, 120), against 2.9 B/state, 2.7 MB, for
+    # the search at (2, 31)
     import tracemalloc
 
-    for genus, r in [(2, 31), (2, 32), (2, 64), (3, 8)]:
+    for genus, r in [(2, 31), (2, 32), (2, 64), (2, 100), (2, 120), (3, 8)]:
         orbits._orbits_by_handles(3, genus)  # warm numpy's caches
         tracemalloc.start()
         try:
@@ -588,9 +611,12 @@ def test_handle_engine_checks_labels_past_the_states():
 
 
 def test_handle_engine_joins_genus_two_past_the_states():
-    # 10^8 states: the W join reads the r^3 cells of (s_1, s_2, t), not Z_r^4
-    partition = partition_orbits(context_for(2, 100), cap=None)
-    assert partition.sizes() == orbit_count_closed_form(2, 100)
+    # 6x10^6 to 3x10^12 states: the W join of two handles reads the r^3 cells of
+    # (s, omega, t), not Z_r^4, and at genus 3 it is joined once more; at (2, 50)
+    # the last of its slabs of 6 omegas holds 2
+    for genus, r in [(2, 50), (2, 100), (2, 181), (3, 120)]:
+        partition = partition_orbits(context_for(genus, r), cap=None)
+        assert _closed_form_sizes(partition) == orbit_count_closed_form(genus, r)
 
 
 def test_handle_engine_counts_past_int64():
