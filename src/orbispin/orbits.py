@@ -10,11 +10,11 @@ packed images are built from the decoded digits by ``twists._twist``.
 Three engines partition the space and give identical records.  They act by
 the moves they are given; the library gives them the unit twists'.
 
-Breadth-first search (``_levels``) for ``orbit_of`` and for big spaces the
-handles do not take.  It needs neither a sort nor the inverse twists.  Each
-move is a bijection of Z_r^{2g}, so it maps the distinct states of a
-frontier to distinct images: the images not yet marked in ``seen`` are new
-and distinct, and once marked, later moves find any repeats.  Each move has
+Breadth-first search (``_levels``) for ``orbit_of`` and for big genus-1
+spaces.  It needs neither a sort nor the inverse twists.  Each move is a
+bijection of Z_r^{2g}, so it maps the distinct states of a frontier to
+distinct images: the images not yet marked in ``seen`` are new and
+distinct, and once marked, later moves find any repeats.  Each move has
 finite order, so its inverse is a positive power of it and the closure under
 the moves alone is the whole orbit.  States are int32 if r^{2g} <= 2^31 and
 r (2r + 2) < 2^31 (``_twist``'s unreduced values reach r (2r + 1)), else
@@ -52,29 +52,29 @@ orbits at once, 7% more states than the largest orbit's alone at
 (2, 64), (3, 16) and (4, 8), two orbits each.
 
 Min-label propagation (``_orbits_by_tables``, after Shiloach and Vishkin,
-J. Algorithms 1982) for small spaces, where the search above is mostly
-per-call numpy overhead.  It decodes every state once and builds one packed
-image table per move, 8 B per state and move; no inverse tables are built.
-Each sweep lowers every state's label to the least label among its images,
-pulling labels from images only, then jumps pointers (label =
-label[label]).  Sweeps repeat until one changes nothing: at most 15 sweeps
-on every (g, r) within the bound, at (1, 115).  A label starts at the state
-itself, only decreases, and always names a member of the state's orbit.  At
-the fixed point label[x] <= label[m(x)] for every move m, and a move
-permutes each of its finite cycles, so the label is constant on every
-cycle and hence on every orbit; being at most every member and itself a
-member, it is the orbit's least member.  The representatives are then the
-states that label themselves, already in ascending order.  The same
-propagation also runs along edges pulled both ways, lowering both ends to
-the lesser label; at its fixed point the ends of every edge agree, so by
-the same argument each label is the least member of its component.
+J. Algorithms 1982) for small genus-1 spaces, where the search above is
+mostly per-call numpy overhead (at genus >= 2 the tests hold the handles to
+it).  It decodes every state once and builds one packed image table per
+move, 8 B per state and move; no inverse tables are built.  Each sweep
+lowers every state's label to the least label among its images, pulling
+labels from images only, then jumps pointers (label = label[label]).  Sweeps
+repeat until one changes nothing: at most 15 sweeps on every r within the
+bound, at (1, 115).  A label starts at the state itself, only decreases, and
+always names a member of the state's orbit.  At the fixed point label[x] <=
+label[m(x)] for every move m, and a move permutes each of its finite cycles,
+so the label is constant on every cycle and hence on every orbit; being at
+most every member and itself a member, it is the orbit's least member.  The
+representatives are then the states that label themselves, already in
+ascending order.  The same propagation also runs along edges listed both
+ways; at its fixed point the ends of every edge agree, so by the same
+argument each label is the least member of its component.
 
-Handle by handle (``_orbits_by_handles``) at genus >= 2 above the tables'
-bound.  U_h and V_h move only the pair (s_h, t_h), W_h only the handles h
-and h + 1, each by the same formula on every handle up to a shift of
-index.  An orbit is a component of the Schreier graph of the
-moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005, 4.1), so it can be built from coarser pieces:
+Handle by handle (``_orbits_by_handles``) at every genus >= 2.  U_h and
+V_h move only the pair (s_h, t_h), W_h only the handles h and h + 1, each
+by the same formula on every handle up to a shift of index.  An orbit is a
+component of the Schreier graph of the moves (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, 4.1), so it can be built from
+coarser pieces:
 
 1. The U/V twists generate a product of per-handle groups, whose orbits
    (product classes) are products of one handle's classes: the d(r)
@@ -92,13 +92,19 @@ moves (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
    max(r^2, ``_CHUNK``) cells, builds M.  Inverting omega(s_1, .), a
    permutation that ``_twist`` gives as the new t_2 at t_2 = 0, finds the
    rows that carry each omega, and one float32 0/1 matrix product per slab
-   collects their edges: BLAS computes it exactly, as its entries are
-   counts below 2^24, positive when one of their terms is.  Propagation
-   along the edges gives the partition, and the orbits are its join
-   tensored with the identity at each of the g - 1 places.
+   collects their edges (``_w_edges``): BLAS computes it exactly, as its
+   entries are counts below 2^24, positive when one of their terms is.
+   Propagation along the edges, listed both ways, gives the partition, and
+   the orbits are its join tensored with the identity at each of the g - 1
+   places.
 3. Class ids are ranked by least member and a product class is packed in
    their mixed radix, so index order is the order of least members.  Its
-   least member and size come from its handles' by outer products.
+   least member and size come from its handles' by outer products.  Its
+   label starts at the least member of its class in the join at handles
+   (1, 2), no larger than it and in its orbit, so genus 2 needs no pull.
+   Genus g pulls along the other g - 2 places, each edge moved to its ends'
+   starting labels: those propagate as above, each starting at itself, and
+   every other label follows its start's by pointer jumping.
 4. The label check reads classes, not states.  The parity is a sum over
    handles: ``_parity(x, g)`` is the XOR of ``_parity(x_h, 1)`` over the
    handles.  So ``_parity(., 1)``, read once on Z_r^2, gives each handle
@@ -122,15 +128,14 @@ class.
 ``partition_orbits`` is the one place that picks an engine.  A space of
 one state (r = 1, or genus 0) needs none: its one orbit is the zero tuple,
 labelled by that tuple's canonical form, and numpy is not imported.  Else
-it chooses the tables when states x distinct moves is at most
-``_TABLE_CELLS`` = 2^15 at genus 1, up to (1, 128), so its tables take
-at most 256 KB, and at most ``_HANDLE_CELLS`` = 2^13 at genus >= 2.  Both
-bounds sit where the engines cross: the tables and the search at genus 1,
-the tables and the handles at genus >= 2.  Above them, genus >= 2 goes
-handle by handle and genus 1 to the search.
+genus >= 2 goes handle by handle, and genus 1 to the tables when states x
+distinct moves is at most ``_TABLE_CELLS`` = 2^15, up to (1, 128), so its
+tables take at most 256 KB; that bound sits where the tables and the
+search cost about the same, and larger genus-1 spaces go to the search.
 Of the 1,266 contexts of the benchmark's census, 731 have one state (237
 at genus 0, whose census runs no partition, and 494 at r = 1), the tables
-take 442 and the handles 93, at (2, 7) to (2, 11), (3, 4) and (3, 5).
+take the 294 at genus 1 and the handles 241, at (2, 2) to (2, 11) and
+(3, 2) to (3, 5).
 
 The twist formulas read only (g, r), never the cone data.  Nothing is
 cached between calls: the cost of a partition depends only on its own
@@ -224,22 +229,12 @@ _CHUNK = 1 << 14
 # same; larger spaces go to the breadth-first search
 _TABLE_CELLS = 1 << 15
 
-# the same at genus >= 2, where larger spaces go handle by handle: the two
-# engines cost about the same at (2, 6) and (3, 3), and the handles win above
-_HANDLE_CELLS = 1 << 13
-
 # the invariant value of a class whose states have two values; no label has it
 _BOTH = -1
 
 
 def _weights(r: int, genus: int) -> list[int]:
     return [r ** (2 * genus - 1 - a) for a in range(2 * genus)]
-
-
-def _mod(x: np.ndarray, r: int) -> np.ndarray:
-    # x % r for x >= 0: numpy divides int64 by a scalar much faster than it
-    # takes the remainder, above all of negative numbers
-    return x - (x // r) * r
 
 
 def _digits(states: np.ndarray | int, r: int, count: int) -> list:
@@ -352,14 +347,11 @@ def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> O
     if total == 1:  # r = 1 or genus 0: the zero tuple is the one state and its orbit
         rep, label = _head(0, r, genus)
         return OrbitPartition(r, genus, (OrbitRecord(rep, 1, label),))
+    if genus >= 2:
+        return OrbitPartition(r, genus, tuple(_orbits_by_handles(r, genus)))
     moves = _unit_moves(r, genus)
-    if total * len(moves) <= (_TABLE_CELLS if genus == 1 else _HANDLE_CELLS):
-        records = _orbits_by_tables(r, genus, moves)
-    elif genus >= 2:
-        records = _orbits_by_handles(r, genus)
-    else:
-        records = _orbits_by_levels(r, genus, moves)
-    return OrbitPartition(r, genus, tuple(records))
+    engine = _orbits_by_tables if total * len(moves) <= _TABLE_CELLS else _orbits_by_levels
+    return OrbitPartition(r, genus, tuple(engine(r, genus, moves)))
 
 
 def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
@@ -427,7 +419,7 @@ def _least_labels(least: np.ndarray, pulls: list[Callable[[np.ndarray], None]]) 
         for pull in pulls:
             pull(least)
         least = least[least]
-        if (least == before).all():
+        if not np.count_nonzero(least != before):
             return least
 
 
@@ -437,14 +429,10 @@ def _pull_images(table: np.ndarray) -> Callable[[np.ndarray], None]:
     return lambda least: np.minimum(least, least[table], out=least)
 
 
-def _pull_both_ways(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], None]:
-    """Lower the labels at both ends of each edge (a[k], b[k]) to the lesser of the two."""
+def _pull_edges(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], None]:
+    """Lower the label at a[k] to the one at b[k]; edges listed both ways lower both ends."""
     import numpy as np
-
-    def pull(least: np.ndarray) -> None:
-        np.minimum.at(least, a, least[b])
-        np.minimum.at(least, b, least[a])
-    return pull
+    return lambda least: np.minimum.at(least, a, least[b])
 
 
 def _least_members(r: int, genus: int, moves: tuple[_Move, ...]) -> tuple[list, np.ndarray]:
@@ -479,15 +467,49 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     # U and V: least members, each pair's class, the class sizes and how many
     # of a class's pairs have odd parity
     pairs, least = _least_members(r, 1, _unit_moves(r, 1))
-    members = np.flatnonzero(least == np.arange(r * r))
-    class_of, sizes = np.searchsorted(members, least), np.bincount(least)[members]
-    odd = np.bincount(class_of[_parity(pairs, 1) == 1], minlength=members.size)
+    members = (least == np.arange(r * r)).nonzero()[0]
+    class_of, sizes = members.searchsorted(least), np.bincount(least)[members]
     count = members.size
-    total = count**genus
+    odd = np.bincount(class_of, _parity(pairs, 1), count)
+    total, cells = count**genus, count * count
 
-    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4.  On a
-    # row (s_1, s_2), W_1 moves t_1 by -omega and t_2 by +omega, and rows[s_1, v] is the
-    # s_2 whose row has omega = v, omega being the new t_2 at t_2 = 0.  Per slab of v,
+    # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4
+    joined = _least_labels(np.arange(cells), [_pull_edges(*_w_edges(r, class_of, count))])
+
+    # 3. the join of that partition at each pair of handles (h, h + 1), product classes
+    # numbered big-endian in base count: labels start at the join at handles (1, 2), and
+    # each later edge, to the product class with joined's label there, joins starting labels
+    start = np.arange(total).reshape(cells, -1)[joined].ravel()
+    pulls = []
+    for h in range(1, genus - 1):
+        index = np.arange(total).reshape(count**h, cells, -1)
+        a, b = start, start[index[:, joined].ravel()]
+        pulls.append(_pull_edges(np.concatenate((a, b)), np.concatenate((b, a))))
+    least = _least_labels(start, pulls)
+
+    # 4. a product class's least member, size and parity, from its handles' by
+    # outer products: the parity is the XOR of its handles', unless one of
+    # them holds both parities
+    flips, mixed = odd > 0, (odd > 0) & (odd < sizes)
+    exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
+    members, sizes = members.astype(exact), sizes.astype(exact)
+    state, weight, parity, both = members, sizes, flips, mixed
+    for _ in range(genus - 1):
+        state = np.add.outer(state * (r * r), members).ravel()
+        weight = np.multiply.outer(weight, sizes).ravel()
+        parity = np.bitwise_xor.outer(parity, flips).ravel()
+        both = np.logical_or.outer(both, mixed).ravel()
+    values = None if _invariant(r, genus) is None else np.where(both, _BOTH, parity)
+    return _records(r, genus, least, state, weight, values)
+
+
+def _w_edges(r: int, class_of: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_1's edges on Z_r^4 between class pairs (class of (s_1, t_1), class of
+    (s_2, t_2)), packed as a count + b from ``class_of``, each both ways, as
+    ``nonzero`` lists them."""
+    import numpy as np
+    # on a row (s_1, s_2), W_1 moves t_1 by -omega and t_2 by +omega, and rows[s_1, v] is
+    # the s_2 whose row has omega = v, omega being the new t_2 at t_2 = 0.  Per slab of v,
     # shown[(s, v), (a, a')] marks the pairs (class of (s, t), class of (s, t + v)) over t:
     # on the row (s_1, rows[s_1, v]) handle 2 moves by those at s_2 and handle 1 by those
     # at s_1 reversed, and one 0/1 product collects met[(a', a), (b, b')]
@@ -497,7 +519,7 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     twice = np.concatenate((classes, classes), axis=1)
     shifted = np.ndarray((r, r, r), twice.dtype, twice, 0, twice.strides + twice.strides[1:])
     rows = np.empty((r, r), dtype=zr.dtype)
-    rows[zr[:, None], _mod(dict(_twist([zr[:, None], 0, zr, 0], r, "W", 0, 1))[3], r)] = zr
+    rows[zr[:, None], dict(_twist([zr[:, None], 0, zr, 0], r, "W", 0, 1))[3] % r] = zr
     met = np.zeros((cells, cells), dtype=bool)
     step = max(1, _CHUNK // (r * r))  # a slab is one v of r^2 cells past r^2 = _CHUNK
     for start in range(0, r, step):
@@ -507,30 +529,8 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
         shown = np.zeros((r * k, cells), dtype=np.float32)
         shown.reshape(-1)[spots] = 1
         met |= shown.T @ shown.take(rows[:, start:start + k] * k + np.arange(k), axis=0).reshape(-1, cells) > 0
-    src, dst = np.nonzero(met.reshape((count,) * 4).transpose(1, 2, 0, 3).reshape(cells, cells))
-    joined = _least_labels(np.arange(cells), [_pull_both_ways(src, dst)])
-
-    # 3. the join of that partition at each pair of handles (h, h + 1): an edge from each
-    # product class (class ids big-endian in base count) to the one with joined's label there
-    pulls = []
-    for h in range(genus - 1):
-        index = np.arange(total).reshape(count**h, count * count, count ** (genus - 2 - h))
-        pulls.append(_pull_both_ways(index.ravel(), index[:, joined].ravel()))
-    least = _least_labels(np.arange(total), pulls)
-
-    # 4. a product class's least member, size and parity, from its handles' by
-    # outer products: the parity is the XOR of its handles', unless one of
-    # them holds both parities
-    exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
-    state, weight = np.zeros(1, dtype=exact), np.ones(1, dtype=exact)
-    parity, both = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)
-    for _ in range(genus):
-        state = np.add.outer(state * (r * r), members.astype(exact)).ravel()
-        weight = np.multiply.outer(weight, sizes.astype(exact)).ravel()
-        parity = np.bitwise_xor.outer(parity, odd > 0).ravel()
-        both = np.logical_or.outer(both, (odd > 0) & (odd < sizes)).ravel()
-    values = None if _invariant(r, genus) is None else np.where(both, _BOTH, parity)
-    return _records(r, genus, least, state, weight, values)
+    met = met.reshape((count,) * 4).transpose(1, 2, 0, 3).reshape(cells, cells)  # (before, after)
+    return (met | met.T).nonzero()
 
 
 def _records(r: int, genus: int, least: np.ndarray, members: np.ndarray, sizes: np.ndarray | None,
@@ -540,7 +540,7 @@ def _records(r: int, genus: int, least: np.ndarray, members: np.ndarray, sizes: 
     ``sizes[k]`` states (one each if None) and invariant value ``values[k]``
     (None when (g, r) has a single label), which fails if not its orbit's."""
     import numpy as np
-    seeds = np.flatnonzero(least == np.arange(least.size))
+    seeds = (least == np.arange(least.size)).nonzero()[0]
     heads = [_head(seed, r, genus) for seed in members[seeds].tolist()]
     if values is not None:
         predicted = np.zeros(least.size, dtype=np.int64)

@@ -216,7 +216,7 @@ def test_partition_matches_tuple_bfs():
 
 
 # 32,768 and 33,282 table cells (states x moves), either side of the engine
-# choice at genus 1; genus >= 2 crosses its bound within _SMALL, at (2, 6) and (2, 7)
+# choice at genus 1; genus >= 2 has no bound, every such space going handle by handle
 _BOUNDARY = [(1, 128), (1, 129)]
 _ENGINES = [orbits._orbits_by_tables, orbits._orbits_by_levels, orbits._orbits_by_handles]
 
@@ -229,7 +229,6 @@ def _run(engine, r, genus, moves):
 @pytest.mark.parametrize("powers", [(1,), (2, -3)])
 def test_both_engines_match_tuple_bfs(powers):
     assert 128**2 * 2 <= orbits._TABLE_CELLS < 129**2 * 2
-    assert 6**4 * 5 <= orbits._HANDLE_CELLS < 7**4 * 5
     for genus, r in _SMALL + _BOUNDARY:
         letters = [(g.family, g.index, m) for g in standard_generators(genus) for m in powers]
         moves = _moves([TwistGenerator(*p) for p in letters], r)
@@ -261,15 +260,16 @@ def _closed_form_sizes(partition: OrbitPartition):
 
 
 def test_engine_choice_follows_table_size(monkeypatch):
-    # at genus >= 2 at most 2^13 cells (states x moves) go to the tables and
-    # larger spaces handle by handle: (2, 6) has 6,480 cells, (2, 7) 12,005,
-    # (3, 3) 5,832 and (3, 4) 32,768.  At genus 1 at most 2^15 cells go to the
+    # every space of genus >= 2 and r >= 2 goes handle by handle, however
+    # small: (2, 2) has 80 cells (states x moves), (2, 6) 6,480, (3, 3) 5,832,
+    # (4, 2) 2,816 and (5, 2) 14,336.  At genus 1 at most 2^15 cells go to the
     # tables and larger spaces to the breadth-first search: (1, 128) has
     # 32,768 and (1, 129) 33,282.  A space of one state (r = 1, or genus 0)
     # runs no engine at all
     engines = {"_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles"}
-    for genus, r, engine in [(2, 6, "_orbits_by_tables"), (2, 7, "_orbits_by_handles"),
-                             (3, 3, "_orbits_by_tables"), (3, 4, "_orbits_by_handles"),
+    for genus, r, engine in [(2, 2, "_orbits_by_handles"), (2, 6, "_orbits_by_handles"),
+                             (3, 3, "_orbits_by_handles"), (4, 2, "_orbits_by_handles"),
+                             (5, 2, "_orbits_by_handles"),
                              (1, 128, "_orbits_by_tables"), (1, 129, "_orbits_by_levels"),
                              (1, 1, None), (3, 1, None), (0, 5, None)]:
         with monkeypatch.context() as patch:
@@ -452,6 +452,32 @@ def test_w_twist_factors_by_handle():
         omega = dict(orbits._twist([s1[..., 0], 0, s2[..., 0], 0], r, "W", 0, 1))[3][..., None] % r
         moved = dict(orbits._twist([s1, t, s2, t], r, "W", 0, 1))
         assert (moved[1] % r == (t - omega) % r).all() and (moved[3] % r == (t + omega) % r).all()
+
+
+@pytest.mark.parametrize("r", [*range(2, 13), 18, 24])
+def test_w_join_edges_match_a_brute_force_join(monkeypatch, r):
+    # every tuple of Z_r^4 and its image under W_1 give one edge between class
+    # pairs, (class of (s_1, t_1), class of (s_2, t_2)) before and after, taken
+    # both ways.  The classes are the ideals gcd(s, t, r), numbered by divisor,
+    # and at r <= 6 also the pairs themselves, where no two omegas share an edge.
+    # The join must give exactly these edges in one slab, in slabs of r - 1
+    # omegas and 1, and in slabs of 5 (a partial last slab where 5 does not divide r)
+    s, t = np.divmod(np.arange(r * r), r)
+    labellings = [(np.searchsorted(divisors(r), np.gcd(np.gcd(s, t), r)), len(divisors(r)))]
+    if r <= 6:
+        labellings.append((np.arange(r * r), r * r))
+    digits = list(np.indices((r,) * 4).reshape(4, -1))
+    moved = list(digits)
+    for slot, value in orbits._twist(digits, r, "W", 0, 1):
+        moved[slot] = value % r
+    for class_of, count in labellings:
+        cells = count * count
+        before, after = ((class_of[x[0] * r + x[1]] * count + class_of[x[2] * r + x[3]]) for x in (digits, moved))
+        expected = np.unique(np.concatenate((before * cells + after, after * cells + before)))
+        for step in {r, max(1, r - 1), 5}:
+            monkeypatch.setattr(orbits, "_CHUNK", step * r * r)
+            src, dst = orbits._w_edges(r, class_of, count)
+            assert np.array_equal(np.unique(src * cells + dst), expected), (r, count, step)
 
 
 def test_handle_engine_in_small_slabs_matches_tuple_bfs(monkeypatch):

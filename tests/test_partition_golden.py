@@ -38,8 +38,8 @@ WORKLOAD_PAIRS = [(1, 401), (1, 720), (2, 18), (2, 21), (2, 31), (3, 7), (3, 8)]
 def powers_partition(ctx):
     """The partition under the powers {2, -3} of every unit twist, by the
     engines that take any move set, split as ``partition_orbits`` splits
-    genus 1: the tables up to ``_TABLE_CELLS`` cells, else the breadth-first
-    search.  (``partition_orbits`` sends genus >= 2 above ``_HANDLE_CELLS``
+    genus 1 at every genus: the tables up to ``_TABLE_CELLS`` cells, else the
+    breadth-first search.  (``partition_orbits`` sends every genus >= 2 space
     handle by handle, an engine that acts by the unit twists alone.)"""
     r, genus = ctx.order, ctx.genus
     moves = _moves([TwistGenerator(g.family, g.index, m)
