@@ -105,16 +105,16 @@ coarser pieces:
    Genus g pulls along the other g - 2 places, each edge moved to its ends'
    starting labels: those propagate as above, each starting at itself, and
    every other label follows its start's by pointer jumping.
-4. The label check reads classes, not states.  The parity is a sum over
-   handles: ``_parity(x, g)`` is the XOR of ``_parity(x_h, 1)`` over the
-   handles.  So ``_parity(., 1)``, read once on Z_r^2, gives each handle
-   class one parity or both, and a product class has the XOR of its
-   handles' parities, or both as soon as one of its handles' classes has
-   both; outer products give these too.  Memory is one handle's arrays of
-   r^2 entries, d(r)^g product classes, one slab's arrays and d(r)^4
-   float32s: a traced peak of 0.44-0.91 MB at (2, 31), (2, 32), (2, 64)
-   and (2, 100), 1.5 MB at (2, 120), 11.6 MB at (2, 360) and 0.12 MB or
-   less at (3, 8), (3, 16) and (4, 8).
+4. The label check reads classes, not states, and only at even r, as odd
+   r has one label.  The parity is a sum over handles: ``_parity(x, g)`` is
+   the XOR of ``_parity(x_h, 1)`` over the handles.  So ``_parity(., 1)``,
+   read once on Z_r^2, gives each handle class one parity or both, and a
+   product class has the XOR of its handles' parities, or both as soon as
+   one of its handles' classes has both; outer products give these too.
+   Memory is one handle's arrays of r^2 entries, d(r)^g product classes,
+   one slab's arrays and d(r)^4 float32s: a traced peak of 0.44-0.91 MB at
+   (2, 31), (2, 32), (2, 64) and (2, 100), 1.5 MB at (2, 120), 11.6 MB at
+   (2, 360) and 0.12 MB or less at (3, 8), (3, 16) and (4, 8).
 
 The tables and the handles end in one tail (``_records``), over classes of
 states ranked by least member; for the tables every state is its own
@@ -464,13 +464,11 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
     """The unit twists' orbits at genus >= 2, from one handle's classes and one W join."""
     import numpy as np
     # 1. the classes of a handle's pairs (s, t), packed as s r + t, under its
-    # U and V: least members, each pair's class, the class sizes and how many
-    # of a class's pairs have odd parity
+    # U and V: least members, each pair's class and the class sizes
     pairs, least = _least_members(r, 1, _unit_moves(r, 1))
     members = (least == np.arange(r * r)).nonzero()[0]
     class_of, sizes = members.searchsorted(least), np.bincount(least)[members]
     count = members.size
-    odd = np.bincount(class_of, _parity(pairs, 1), count)
     total, cells = count**genus, count * count
 
     # 2. the partition of two adjacent handles' class pairs that W joins on Z_r^4
@@ -485,21 +483,23 @@ def _orbits_by_handles(r: int, genus: int) -> list[OrbitRecord]:
         index = np.arange(total).reshape(count**h, cells, -1)
         a, b = start, start[index[:, joined].ravel()]
         pulls.append(_pull_edges(np.concatenate((a, b)), np.concatenate((b, a))))
-    least = _least_labels(start, pulls)
+    least = _least_labels(start, pulls) if pulls else start  # genus 2: start is the partition
 
-    # 4. a product class's least member, size and parity, from its handles' by
-    # outer products: the parity is the XOR of its handles', unless one of
-    # them holds both parities
-    flips, mixed = odd > 0, (odd > 0) & (odd < sizes)
+    # 4. a product class's least member and size, and at even r its parity (the XOR of its
+    # handles', unless one of them holds both parities), from its handles' by outer products
+    values = None
+    if _invariant(r, genus) is not None:
+        odd = np.bincount(class_of, _parity(pairs, 1), count)  # a class's pairs of odd parity
+        values, both = flips, mixed = odd > 0, (odd > 0) & (odd < sizes)
+        for _ in range(genus - 1):
+            values = np.bitwise_xor.outer(values, flips).ravel()
+            both = np.logical_or.outer(both, mixed).ravel()
+        values = np.where(both, _BOTH, values)
     exact = np.int64 if r ** (2 * genus) < 1 << 63 else object  # Python ints past int64
-    members, sizes = members.astype(exact), sizes.astype(exact)
-    state, weight, parity, both = members, sizes, flips, mixed
+    state, weight = members, sizes = members.astype(exact), sizes.astype(exact)
     for _ in range(genus - 1):
         state = np.add.outer(state * (r * r), members).ravel()
         weight = np.multiply.outer(weight, sizes).ravel()
-        parity = np.bitwise_xor.outer(parity, flips).ravel()
-        both = np.logical_or.outer(both, mixed).ravel()
-    values = None if _invariant(r, genus) is None else np.where(both, _BOTH, parity)
     return _records(r, genus, least, state, weight, values)
 
 
