@@ -16,6 +16,9 @@ census is purely combinatorial:
 
 For genus >= 1, whenever the state space fits under the cap, the report is
 verified against the brute-force orbit partition; a mismatch fails loudly.
+That self-check reads the process's one partition of (g, r), made by the
+first call at that (g, r), so every signature sharing it is checked
+against the same partition.
 """
 
 from __future__ import annotations

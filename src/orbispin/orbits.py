@@ -125,22 +125,28 @@ from its orbit's label, as a class holding two values always does; the
 error names the least representative among the orbits that hold a failing
 class.
 
-``partition_orbits`` is the one place that picks an engine.  A space of
-one state (r = 1, or genus 0) needs none: its one orbit is the zero tuple,
-labelled by that tuple's canonical form, and numpy is not imported.  Else
-genus >= 2 goes handle by handle, and genus 1 to the tables when states x
-distinct moves is at most ``_TABLE_CELLS`` = 2^15, up to (1, 128), so its
-tables take at most 256 KB; that bound sits where the tables and the
-search cost about the same, and larger genus-1 spaces go to the search.
+``_partition``, behind ``partition_orbits``, is the one place that picks
+an engine.  A space of one state (r = 1, or genus 0) needs none: its one
+orbit is the zero tuple, labelled by that tuple's canonical form, and
+numpy is not imported.  Else genus >= 2 goes handle by handle, and genus 1
+to the tables when states x distinct moves is at most ``_TABLE_CELLS`` =
+2^15, up to (1, 128), so its tables take at most 256 KB; that bound sits
+where the tables and the search cost about the same, and larger genus-1
+spaces go to the search.
 Of the 1,266 contexts of the benchmark's census, 731 have one state (237
 at genus 0, whose census runs no partition, and 494 at r = 1), the tables
 take the 294 at genus 1 and the handles 241, at (2, 2) to (2, 11) and
-(3, 2) to (3, 5).
+(3, 2) to (3, 5).  A pass makes 1,029 partition calls over 90 (g, r), so
+939 of them repeat an earlier (g, r).
 
-The twist formulas read only (g, r), never the cone data.  Nothing is
-cached between calls: the cost of a partition depends only on its own
-(g, r), never on which calls came before it.  Only the search functions
-import numpy; the closed forms below never load it.
+The twist formulas read only (g, r), never the cone data, so neither does
+the partition: each (g, r) is partitioned at most once per process, keyed
+on (r, g) alone.  The first call's cost depends only on its own (g, r),
+and the cap is checked on every call, a repeat included.  A call that
+raises (``MixedOrbit``) keeps nothing.  A kept partition is a frozen record
+of Python ints, at most d(r) orbits, made by work over all r^{2g} states,
+so what is kept never outgrows the work already done.  Only the search
+functions import numpy; the closed forms below never load it.
 
 The closed-form counts implemented alongside: for genus >= 2 and even r the
 action has exactly two orbits, of sizes r^{2g} (2^g + 1) / 2^{g+1} and
@@ -153,11 +159,11 @@ them, J_2 being the Jordan totient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable
 
 from .errors import MixedOrbit
-from .orbifold import divisors
+from .orbifold import _as_int, divisors
 from .roots import DEFAULT_STATE_CAP, RootTuple, _check_state_count
 from .seifert import RootContext
 from .twists import (
@@ -342,8 +348,15 @@ def partition_orbits(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> O
     that form; a mixed orbit would raise MixedOrbit.  CountOverflow when
     r^{2g} exceeds ``cap``; ``cap=None`` means no cap.
     """
-    r, genus = ctx.order, ctx.genus
-    total = _check_state_count(r, genus, cap)
+    _check_state_count(ctx.order, ctx.genus, cap)
+    return _partition(ctx.order, ctx.genus)
+
+
+@cache
+def _partition(r: int, genus: int) -> OrbitPartition:
+    """The partition of Z_r^{2g}, made once per (g, r) and process; a call
+    that raises keeps nothing, so the next one searches again."""
+    total = r ** (2 * genus)
     if total == 1:  # r = 1 or genus 0: the zero tuple is the one state and its orbit
         rep, label = _head(0, r, genus)
         return OrbitPartition(r, genus, (OrbitRecord(rep, 1, label),))
@@ -581,10 +594,9 @@ def orbit_count_closed_form(genus: int, r: int) -> int | tuple[int, int]:
     pair (even-type count, odd-type count) = r^{2g} (2^g +- 1) / 2^{g+1},
     computed in exact integer arithmetic.
     """
+    genus, r = _as_int(genus, "genus"), _as_int(r, "covering order", 1)
     if genus < 2:
         raise ValueError("closed-form counts apply to genus >= 2 only")
-    if r < 1:
-        raise ValueError(f"order must be a positive integer, got {r!r}")
     total = r ** (2 * genus)
     if r % 2 == 1:
         return total
@@ -602,8 +614,7 @@ def genus_one_orbit_size(r: int, d: int) -> int:
     With gcd(s, t, r) normalised so the zero pair belongs to d = r, the count
     is the Jordan totient J_2(r/d).
     """
-    if r < 1:
-        raise ValueError(f"order must be a positive integer, got {r!r}")
+    r, d = _as_int(r, "covering order", 1), _as_int(d, "divisor")
     if d < 1 or r % d != 0:
         raise ValueError(f"{d} does not divide {r}")
     return _jordan_totient_2(r // d)

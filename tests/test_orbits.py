@@ -1,6 +1,6 @@
 from dataclasses import replace
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import xor
 
@@ -18,9 +18,11 @@ from orbispin import (
     canonical_form,
     divisors,
     genus_one_orbit_size,
+    is_hyperbolic,
     orbit_count_closed_form,
     orbit_of,
     partition_orbits,
+    root_order_admissible,
     solve_raymond_vasquez,
     standard_generators,
 )
@@ -107,6 +109,14 @@ def test_genus_one_orbit_size_examples():
         genus_one_orbit_size(6, 4)
 
 
+def test_closed_forms_refuse_non_integers():
+    for bad in (12.9, 12.0, True, None, "12"):
+        for call in (lambda: orbit_count_closed_form(bad, 2), lambda: orbit_count_closed_form(2, bad),
+                     lambda: genus_one_orbit_size(bad, 1), lambda: genus_one_orbit_size(12, bad)):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_genus_one_orbit_size_matches_pair_count():
     for r in range(1, 61):
         for d in divisors(r):
@@ -178,6 +188,48 @@ def test_state_cap_enforced():
         partition_orbits(_ctx(2, 2), cap=15)
     with pytest.raises(CountOverflow):
         orbit_of(RootTuple(2, (0, 0, 0, 0)), cap=15)
+
+
+def _contexts(genus, r):
+    """Solved contexts of genus ``genus`` at order r, from signatures with no
+    cone point or one, in ascending multiplicity."""
+    sigs = (OrbifoldSignature(genus, cones) for cones in [(), *((a,) for a in range(2, 4 * r + 4))])
+    return (solve_raymond_vasquez(sig, r) for sig in sigs if is_hyperbolic(sig) and root_order_admissible(sig, r))
+
+
+@pytest.mark.parametrize("genus, r", [(2, 2), (3, 3), (1, 6), (1, 129), (1, 1), (3, 1)])
+def test_each_gr_is_partitioned_once(monkeypatch, genus, r):
+    # the handles, the tables, the search and the one-state path: a second call
+    # at (g, r), through the same signature or another, runs none of them
+    first, other = islice(_contexts(genus, r), 2)
+    assert first.signature != other.signature
+    partition = partition_orbits(first)
+    for name in ("_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles", "_head"):
+        monkeypatch.setattr(orbits, name, _refuse)
+    assert partition_orbits(first) == partition
+    assert partition_orbits(other) == partition
+
+
+def test_a_kept_partition_still_checks_the_cap():
+    ctx = _ctx(2, 3)
+    partition = partition_orbits(ctx)
+    with pytest.raises(CountOverflow):
+        partition_orbits(ctx, cap=80)
+    assert partition_orbits(ctx, cap=81) == partition
+
+
+def test_a_mixed_orbit_is_not_kept(monkeypatch):
+    # the invariant flipped at (1, 1) alone, as in test_both_engines_check_every_state_label,
+    # mixes the orbit of (0, 1) for the genus-1 tables, which read it through _invariant
+    ctx = solve_raymond_vasquez(genus_one_signature(2), 2)
+    invariant = orbits._invariant(2, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_invariant", lambda r, genus: lambda digits: invariant(digits) ^ reduce(
+            np.logical_and, [d == 1 for d in digits]))
+        for _ in range(2):
+            with pytest.raises(MixedOrbit):
+                partition_orbits(ctx)
+    assert partition_orbits(ctx).sizes() == (1, 3)
 
 
 def test_partition_json_shape():
