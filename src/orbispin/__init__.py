@@ -8,6 +8,8 @@ orbits both by brute force and in closed form, and assembles the resulting
 component/sheet census of the moduli space of taut contact circles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CountOverflow,
     InadmissibleOrder,
@@ -66,53 +68,6 @@ from .twists import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASE_NOTE",
-    "CountOverflow",
-    "DEFAULT_STATE_CAP",
-    "InadmissibleOrder",
-    "MODE_ORBIFOLD",
-    "MODE_ROOT",
-    "MODE_UNIT_TANGENT",
-    "MixedOrbit",
-    "ModuliReport",
-    "NotHyperbolic",
-    "NotSL2Quotient",
-    "OddOrder",
-    "OrbifoldSignature",
-    "OrbitPartition",
-    "OrbitRecord",
-    "OrbispinError",
-    "Presentation",
-    "RootContext",
-    "RootTuple",
-    "SeifertInvariants",
-    "StandardForm",
-    "TwistGenerator",
-    "TwistWord",
-    "a_invariant",
-    "admissible_root_orders",
-    "apply_generator",
-    "apply_word",
-    "assert_hyperbolic",
-    "canonical_form",
-    "chi_orb",
-    "determined_values",
-    "divisors",
-    "enumerate_roots",
-    "genus_one_orbit_size",
-    "is_hyperbolic",
-    "moduli_report",
-    "multiplicity_product_chi",
-    "orbit_count_closed_form",
-    "orbit_of",
-    "partition_orbits",
-    "recognize_fibre_index",
-    "reduce_with_witness",
-    "root_group_presentation",
-    "root_order_admissible",
-    "solve_raymond_vasquez",
-    "standard_generators",
-    "unit_tangent_bundle",
-    "w_value",
-]
+# every public name imported above; submodules are bound here by their import
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import reprlib
 import sys
@@ -89,6 +88,11 @@ def _parse_root(arg: str, ctx: RootContext) -> RootTuple:
     return RootTuple(ctx.order, coords)
 
 
+def _root_text(root: RootTuple) -> str:
+    """Residues joined by commas, "-" for genus 0, as ``_parse_root`` reads them."""
+    return ",".join(map(str, root.coords)) or "-"
+
+
 def _parse_word(arg: str) -> TwistWord:
     return TwistWord.from_json(_load_json(arg))
 
@@ -132,14 +136,14 @@ def _cmd_recognize(args: argparse.Namespace) -> None:
 def _cmd_enumerate(args: argparse.Namespace) -> None:
     ctx = _context(args)
     for root in enumerate_roots(ctx, cap=args.cap):
-        _emit(args, root.to_json(), ",".join(map(str, root.coords)) or "-")
+        _emit(args, root.to_json(), _root_text(root))
 
 
 def _cmd_twist(args: argparse.Namespace) -> None:
     ctx = _context(args)
     root = _parse_root(args.tuple, ctx)
     moved = apply_word(root, _parse_word(args.word))
-    _emit(args, moved.to_json(), ",".join(map(str, moved.coords)))
+    _emit(args, moved.to_json(), _root_text(moved))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
@@ -154,11 +158,10 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
         "witness": witness.to_json(),
         "verified": True,
     }
-    tag = form.kind if form.d is None else f"{form.kind} d={form.d}"
     text = "\n".join(
         [
-            f"form: {tag}",
-            f"canonical: {','.join(map(str, form.canonical_coords())) or '-'}",
+            f"form: {form.render_text()}",
+            f"canonical: {_root_text(form.canonical_root())}",
             f"witness: {json.dumps(witness.to_json())}",
             "verified: replay reaches the canonical tuple",
         ]
@@ -273,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--cap",
                 type=int,
+                default=DEFAULT_STATE_CAP,
                 help="positive state cap for enumerations, orbit searches and the moduli self-check, "
-                f"which also bounds their memory (default: $ORBISPIN_STATE_CAP, else {DEFAULT_STATE_CAP})",
+                f"which also bounds their memory (default: {DEFAULT_STATE_CAP})",
             )
         for arg in positionals.split():
             p.add_argument(arg, help="bounds like g=2,n=2,alpha=6,r=24" if arg == "grid" else None)
@@ -289,11 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "cap" in args:  # the _CAPPED subcommands alone take and read a state cap
-            if args.cap is None:
-                args.cap = _integer(os.environ.get("ORBISPIN_STATE_CAP", str(DEFAULT_STATE_CAP)))
-            if args.cap < 1:
-                raise ValueError(f"the state cap must be positive, got {args.cap}")
+        if "cap" in args and args.cap < 1:  # the _CAPPED subcommands alone take a state cap
+            raise ValueError(f"the state cap must be positive, got {args.cap}")
         return args.func(args) or 0  # a handler returns nothing on success
     except CountOverflow as err:
         print(f"CountOverflow: {err}", file=sys.stderr)

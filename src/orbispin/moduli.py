@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .orbifold import divisors
+from .orbifold import _trusted, divisors
 from .orbits import genus_one_orbit_size, orbit_count_closed_form, partition_orbits
-from .roots import DEFAULT_STATE_CAP
+from .roots import DEFAULT_STATE_CAP, _state_cap
 from .seifert import RootContext
 from .twists import (
     KIND_ALL_ZERO,
@@ -83,8 +83,7 @@ class ModuliReport:
             f"moduli census for signature {sig.to_json()} at fibre index r = {self.context.order}:"
         ]
         for label, n in self.components:
-            tag = label.kind if label.d is None else f"{label.kind} d={label.d}"
-            lines.append(f"  component [{tag}]: {n} sheet{'s' if n != 1 else ''}")
+            lines.append(f"  component [{label.render_text()}]: {n} sheet{'s' if n != 1 else ''}")
         lines.append(f"  total sheets: {self.total_sheets()} = r^(2g)")
         lines.append(f"  base: {self.base_note}")
         return "\n".join(lines)
@@ -101,20 +100,22 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
     total = r ** (2 * g)
     components: list[tuple[StandardForm, int]]
     if g == 0:
-        components = [(StandardForm._trusted(KIND_GENUS0, r, 0), 1)]
+        components = [(_trusted(StandardForm, kind=KIND_GENUS0, order=r, genus=0, d=None), 1)]
     elif g == 1:
         components = [
-            (StandardForm._trusted(KIND_GENUS1, r, 1, d), genus_one_orbit_size(r, d))
+            (_trusted(StandardForm, kind=KIND_GENUS1, order=r, genus=1, d=d), genus_one_orbit_size(r, d))
             for d in divisors(r)
         ]
     elif r % 2 == 1:
-        components = [(StandardForm._trusted(KIND_ALL_ZERO, r, g), total)]
+        components = [(_trusted(StandardForm, kind=KIND_ALL_ZERO, order=r, genus=g, d=None), total)]
     else:
         counts = orbit_count_closed_form(g, r)  # indexed by parity: (even, odd)
-        forms = (StandardForm._trusted(KIND_ALL_ZERO, r, g), StandardForm._trusted(KIND_LAST_ONE, r, g))
+        forms = [_trusted(StandardForm, kind=k, order=r, genus=g, d=None)
+                 for k in (KIND_ALL_ZERO, KIND_LAST_ONE)]
         components = [(form, counts[form.invariant]) for form in forms]
     report = ModuliReport(ctx, tuple(components))
-    if g and state_cap is not None and total <= state_cap:  # genus 0: one state, no search
+    # the cap is read at genus 0 too, where one state needs no search
+    if state_cap is not None and total <= _state_cap(state_cap) and g:
         partition = partition_orbits(ctx, cap=state_cap)
         expected = {label: n for label, n in report.components}
         observed = {rec.label: rec.size for rec in partition.orbits}

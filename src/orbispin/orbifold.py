@@ -57,6 +57,14 @@ def _product_chi(genus: int, cones: tuple[int, ...]) -> int:
     return (2 - 2 * genus - len(cones)) * product + sum(product // a for a in cones)
 
 
+def _trusted(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass ``cls`` with ``fields``, unchecked:
+    for values that already meet the checks of ``cls``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class OrbifoldSignature:
     """Genus plus cone-point multiplicities of a closed orientable 2-orbifold.
@@ -73,13 +81,6 @@ class OrbifoldSignature:
         cones = tuple(_as_int(a, "cone multiplicity", 2) for a in self.cone_multiplicities)
         # _product_chi is no field, so ==, hash and repr do not read it
         self.__dict__.update(genus=genus, cone_multiplicities=cones, _product_chi=_product_chi(genus, cones))
-
-    @classmethod
-    def _trusted(cls, genus: int, cones: tuple[int, ...]) -> "OrbifoldSignature":
-        """A signature from an int genus >= 0 and int multiplicities >= 2, unchecked."""
-        sig = object.__new__(cls)
-        sig.__dict__.update(genus=genus, cone_multiplicities=cones, _product_chi=_product_chi(genus, cones))
-        return sig
 
     @property
     def num_cone_points(self) -> int:

@@ -163,7 +163,7 @@ from functools import cache, partial
 from typing import Any, Callable
 
 from .errors import MixedOrbit
-from .orbifold import _as_int, divisors
+from .orbifold import _as_int, _trusted, divisors
 from .roots import DEFAULT_STATE_CAP, RootTuple, _check_state_count
 from .seifert import RootContext
 from .twists import (
@@ -254,11 +254,8 @@ def _digits(states: np.ndarray | int, r: int, count: int) -> list:
 
 
 def _unit_moves(r: int, genus: int) -> tuple[_Move, ...]:
-    """The moves of ``standard_generators(genus)``, built without the generators."""
-    if r == 1:  # every twist acts trivially
-        return ()
-    return tuple((family, i, 1) for i in range(genus) for family in "UV") + tuple(
-        ("W", i, 1) for i in range(genus - 1))
+    """The moves of ``standard_generators(genus)``; none at r = 1, where every twist acts trivially."""
+    return () if r == 1 else tuple((g.family, g.index - 1, g.power) for g in standard_generators(genus))
 
 
 def _image(states: np.ndarray, digits: list, r: int, w: list[int], move: _Move) -> np.ndarray:
@@ -334,7 +331,7 @@ def orbit_of(root: RootTuple, cap: int | None = DEFAULT_STATE_CAP) -> set[RootTu
 
     def visit(states: np.ndarray, digits: list, ranks: np.ndarray) -> None:
         rows = np.reshape(digits, (2 * g, states.size)).T.tolist()
-        members.update(RootTuple._trusted(r, tuple(row)) for row in rows)
+        members.update(_trusted(RootTuple, order=r, coords=tuple(row)) for row in rows)
 
     _levels([seed], np.zeros(total, dtype=np.uint8), r, g, _unit_moves(r, g), visit)
     return members
@@ -369,7 +366,7 @@ def _partition(r: int, genus: int) -> OrbitPartition:
 
 def _head(seed: int, r: int, genus: int) -> tuple[RootTuple, StandardForm]:
     """The representative and label of the orbit whose least member is ``seed``."""
-    rep = RootTuple._trusted(r, tuple(_digits(seed, r, 2 * genus)))
+    rep = _trusted(RootTuple, order=r, coords=tuple(_digits(seed, r, 2 * genus)))
     return rep, canonical_form(rep)
 
 

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Any, Iterator
 
 from .errors import CountOverflow
-from .orbifold import _as_int, _json_object
+from .orbifold import _as_int, _json_object, _trusted
 from .seifert import RootContext
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -36,14 +36,6 @@ class RootTuple:
             raise ValueError("a root tuple has an even number of coordinates")
         object.__setattr__(self, "coords", tuple(_as_int(c, "coordinate") % r for c in self.coords))
 
-    @classmethod
-    def _trusted(cls, r: int, coords: tuple[int, ...]) -> "RootTuple":
-        """A root from a validated order and a tuple of ints already in [0, r), unchecked."""
-        root = object.__new__(cls)
-        object.__setattr__(root, "order", r)
-        object.__setattr__(root, "coords", coords)
-        return root
-
     @property
     def genus(self) -> int:
         return len(self.coords) // 2
@@ -57,10 +49,16 @@ class RootTuple:
         return cls(data["r"], tuple(data["coords"]))
 
 
+def _state_cap(cap: Any) -> int:
+    """``cap`` read as a state cap: an integer >= 1, else ValueError."""
+    return _as_int(cap, "state cap", 1)
+
+
 def _check_state_count(r: int, genus: int, cap: int | None) -> int:
-    """The number r^{2g} of root tuples; CountOverflow when it exceeds ``cap``."""
+    """The number r^{2g} of root tuples; CountOverflow when it exceeds ``cap``
+    (None for no cap)."""
     total = r ** (2 * genus)
-    if cap is not None and total > cap:
+    if cap is not None and total > _state_cap(cap):
         raise CountOverflow(f"{total} roots exceed the state cap {cap}")
     return total
 
@@ -73,7 +71,7 @@ def enumerate_roots(ctx: RootContext, cap: int | None = DEFAULT_STATE_CAP) -> It
     """
     r, g = ctx.order, ctx.genus
     _check_state_count(r, g, cap)
-    return (RootTuple._trusted(r, combo) for combo in product(range(r), repeat=2 * g))
+    return (_trusted(RootTuple, order=r, coords=combo) for combo in product(range(r), repeat=2 * g))
 
 
 def determined_values(ctx: RootContext) -> tuple[int, tuple[int, ...]]:

@@ -32,7 +32,9 @@ from math import prod
 from typing import Any
 
 from .errors import InadmissibleOrder, NotSL2Quotient
-from .orbifold import OrbifoldSignature, _as_int, _json_object, assert_hyperbolic, root_order_admissible
+from .orbifold import (
+    OrbifoldSignature, _as_int, _json_object, _product_chi, _trusted, assert_hyperbolic, root_order_admissible,
+)
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,9 @@ class SeifertInvariants:
             if b > a - 1:
                 raise ValueError(f"pair ({a}, {b}) is not normalised: need 1 <= beta <= alpha-1")
 
-    @classmethod
-    def _trusted(cls, genus: int, b: int, pairs: tuple[tuple[int, int], ...]) -> "SeifertInvariants":
-        """Invariants from a valid genus, an int b and normalised int pairs, unchecked."""
-        inv = object.__new__(cls)
-        inv.__dict__.update(genus=genus, obstruction=b, multiple_fibres=pairs)
-        return inv
-
     def base_signature(self) -> OrbifoldSignature:
-        return OrbifoldSignature._trusted(self.genus, tuple(a for a, _ in self.multiple_fibres))
+        g, cones = self.genus, tuple(a for a, _ in self.multiple_fibres)
+        return _trusted(OrbifoldSignature, genus=g, cone_multiplicities=cones, _product_chi=_product_chi(g, cones))
 
     def _minus_euler_product(self) -> int:
         """-e P = b P + sum_j beta_j P / alpha_j, an integer, for P the product
@@ -113,23 +109,14 @@ class RootContext:
         # (mod alpha_j), so each k_j below is an exact quotient
         pairs = tuple((a, -pow(r, -1, a) % a) for a in sig.cone_multiplicities)
         ks = tuple((r * beta - a + 1) // a for a, beta in pairs)
-        inv = SeifertInvariants._trusted(sig.genus, (2 * sig.genus - 2 - sum(ks)) // r, pairs)
+        b = (2 * sig.genus - 2 - sum(ks)) // r
+        inv = _trusted(SeifertInvariants, genus=sig.genus, obstruction=b, multiple_fibres=pairs)
         # r*e = chi times the product P of the multiplicities, in integers; given
         # the fibre relations, the same as r*b = 2g-2 - sum(k_j)
         minus_euler = inv._minus_euler_product()
         if -r * minus_euler != sig._product_chi:
             raise RuntimeError(f"identity r*e = chi fails for {sig.to_json()} at r = {r}")
-        e = Fraction(-minus_euler, prod(sig.cone_multiplicities))
-        self.__dict__.update(order=r, invariants=inv, twist_integers=ks, euler_number=e)
-
-    @classmethod
-    def _trusted(cls, sig: OrbifoldSignature, r: int, inv: SeifertInvariants, ks: tuple[int, ...],
-                 minus_euler: int) -> "RootContext":
-        """The context of an admissible r from its checked invariants, k_j and -e P, unchecked."""
-        ctx = object.__new__(cls)
-        e = Fraction(-minus_euler, prod(sig.cone_multiplicities))
-        ctx.__dict__.update(signature=sig, order=r, invariants=inv, twist_integers=ks, euler_number=e)
-        return ctx
+        self.__dict__.update(order=r, invariants=inv, twist_integers=ks, euler_number=_euler(sig, minus_euler))
 
     @property
     def genus(self) -> int:
@@ -158,6 +145,12 @@ class RootContext:
         if wrong:
             raise ValueError(f"{', '.join(wrong)} disagree with the covering data solved at r = {ctx.order}")
         return ctx
+
+
+def _euler(sig: OrbifoldSignature, minus_euler: int) -> Fraction:
+    """The Euler number e of a covering of ``sig`` from the integer -e P, P the
+    product of the multiplicities."""
+    return Fraction(-minus_euler, prod(sig.cone_multiplicities))
 
 
 def solve_raymond_vasquez(sig: OrbifoldSignature, r: int) -> RootContext:
@@ -199,4 +192,5 @@ def recognize_fibre_index(inv: SeifertInvariants) -> RootContext:
         ks.append(k)
     # r*beta_j = -1 mod alpha_j gives gcd(r, alpha_j) = 1 and beta_j = -r^{-1} mod
     # alpha_j; r*(-e P) = -P chi gives r | P chi and, with the fibre relations, b
-    return RootContext._trusted(sig, r, inv, tuple(ks), minus_euler)
+    return _trusted(RootContext, signature=sig, order=r, invariants=inv, twist_integers=tuple(ks),
+                    euler_number=_euler(sig, minus_euler))

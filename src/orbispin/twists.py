@@ -42,7 +42,7 @@ from math import gcd
 from typing import Any, Iterable
 
 from .errors import OddOrder
-from .orbifold import _as_int, _json_object
+from .orbifold import _as_int, _json_object, _trusted
 from .roots import RootTuple
 
 KIND_GENUS0 = "genus0"
@@ -73,13 +73,6 @@ class TwistGenerator:
         object.__setattr__(self, "power", _as_int(self.power, "power"))
         if self.power == 0:
             raise ValueError("power must be a nonzero integer, got 0")
-
-    @classmethod
-    def _trusted(cls, family: str, index: int, power: int) -> "TwistGenerator":
-        """A generator from a valid family, index and nonzero power, unchecked."""
-        gen = object.__new__(cls)
-        gen.__dict__.update(family=family, index=index, power=power)
-        return gen
 
     def inverse(self) -> "TwistGenerator":
         return TwistGenerator(self.family, self.index, -self.power)
@@ -160,12 +153,13 @@ def apply_word(root: RootTuple, word: TwistWord | Iterable[TwistGenerator]) -> R
         # a power acts only through its value mod r
         for slot, value in _twist(coords, r, family, index - 1, gen.power % r):
             coords[slot] = value % r
-    return RootTuple._trusted(r, tuple(coords))
+    return _trusted(RootTuple, order=r, coords=tuple(coords))
 
 
 def w_value(root: RootTuple, i: int) -> int:
     """The value s_i - s_{i+1} + 1 mod r taken on the separating curve
     between handles i and i+1 (1 <= i <= g-1)."""
+    i = _as_int(i, "separating-curve index")
     if not 1 <= i <= root.genus - 1:
         raise ValueError(f"separating-curve index {i} out of range for genus {root.genus}")
     return (root.coords[2 * (i - 1)] - root.coords[2 * i] + 1) % root.order
@@ -217,13 +211,6 @@ class StandardForm:
         if self.kind == KIND_LAST_ONE and self.order % 2 != 0:
             raise ValueError("last_one form occurs only for even order")
 
-    @classmethod
-    def _trusted(cls, kind: str, order: int, genus: int, d: int | None = None) -> "StandardForm":
-        """A form from a kind, (r, g) and d that meet the checks above, unchecked."""
-        form = object.__new__(cls)
-        form.__dict__.update(kind=kind, order=order, genus=genus, d=d)
-        return form
-
     @property
     def invariant(self) -> int:
         """The value on this class of the twist invariant that tells the
@@ -233,6 +220,10 @@ class StandardForm:
         if self.kind == KIND_GENUS1:
             return self.d
         return (self.genus + (self.kind == KIND_LAST_ONE)) % 2
+
+    def render_text(self) -> str:
+        """The kind, followed by d at genus 1."""
+        return self.kind if self.d is None else f"{self.kind} d={self.d}"
 
     def canonical_coords(self) -> tuple[int, ...]:
         if self.kind == KIND_GENUS0:
@@ -245,7 +236,7 @@ class StandardForm:
         return tuple(coords)
 
     def canonical_root(self) -> RootTuple:
-        return RootTuple._trusted(self.order, self.canonical_coords())
+        return _trusted(RootTuple, order=self.order, coords=self.canonical_coords())
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {"kind": self.kind}
@@ -269,13 +260,13 @@ def canonical_form(root: RootTuple) -> StandardForm:
     """
     r, g = root.order, root.genus
     if g == 0:
-        return StandardForm._trusted(KIND_GENUS0, r, 0)
+        return _trusted(StandardForm, kind=KIND_GENUS0, order=r, genus=0, d=None)
     if g == 1:
         d = gcd(root.coords[0], root.coords[1], r)
-        return StandardForm._trusted(KIND_GENUS1, r, 1, d)
+        return _trusted(StandardForm, kind=KIND_GENUS1, order=r, genus=1, d=d)
     if r % 2 == 1 or a_invariant(root) == g % 2:
-        return StandardForm._trusted(KIND_ALL_ZERO, r, g)
-    return StandardForm._trusted(KIND_LAST_ONE, r, g)
+        return _trusted(StandardForm, kind=KIND_ALL_ZERO, order=r, genus=g, d=None)
+    return _trusted(StandardForm, kind=KIND_LAST_ONE, order=r, genus=g, d=None)
 
 
 def _signed_residue(x: int, r: int) -> int:
@@ -380,4 +371,4 @@ def reduce_with_witness(root: RootTuple) -> tuple[StandardForm, TwistWord]:
 
     if tuple(state) != form.canonical_coords():
         raise RuntimeError("witness replay did not reach the canonical representative")
-    return form, TwistWord([TwistGenerator._trusted(*letter) for letter in word])
+    return form, TwistWord([_trusted(TwistGenerator, family=f, index=i, power=m) for f, i, m in word])

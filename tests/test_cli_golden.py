@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -126,8 +125,7 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("name", CALLS)
-def test_cli_call_matches_golden(name, golden, monkeypatch):
-    monkeypatch.delenv("ORBISPIN_STATE_CAP", raising=False)
+def test_cli_call_matches_golden(name, golden):
     assert record(CALLS[name]) == golden[name]
 
 
@@ -136,6 +134,5 @@ def test_golden_file_covers_exactly_the_calls(golden):
 
 
 if __name__ == "__main__":
-    os.environ.pop("ORBISPIN_STATE_CAP", None)
     records = {name: record(argv) for name, argv in CALLS.items()}
     GOLDEN.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")

@@ -8,9 +8,12 @@ from orbispin import (
     admissible_root_orders,
     determined_values,
     enumerate_roots,
+    moduli_report,
+    orbit_of,
+    partition_orbits,
     solve_raymond_vasquez,
 )
-from orbispin.verification import GridBounds, hyperbolic_signatures
+from orbispin.verification import GridBounds, hyperbolic_signatures, run_suite
 
 
 def test_enumerate_genus_zero_has_single_empty_root():
@@ -39,6 +42,24 @@ def test_enumerate_respects_cap():
     with pytest.raises(CountOverflow):
         enumerate_roots(ctx, cap=15)
     assert len(list(enumerate_roots(ctx, cap=None))) == 16
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 16.0, "16", 0, -1])
+def test_state_caps_refuse_non_integers_and_values_below_one(cap):
+    # every public cap is read by one rule: no bool or float, nothing below 1
+    ctx = solve_raymond_vasquez(OrbifoldSignature(2), 2)
+    genus_zero = solve_raymond_vasquez(OrbifoldSignature(0, (2, 3, 7)), 1)
+    calls = [
+        lambda: enumerate_roots(ctx, cap=cap), lambda: orbit_of(RootTuple(2, (0, 0, 0, 0)), cap=cap),
+        lambda: partition_orbits(ctx, cap=cap), lambda: moduli_report(ctx, state_cap=cap),
+        lambda: moduli_report(genus_zero, state_cap=cap), lambda: run_suite(GridBounds(0, 0), state_cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^state cap must be an integer"):
+            call()
+    if cap is True:  # run_suite has no uncapped mode
+        with pytest.raises(ValueError, match=r"^state cap must be an integer, got None"):
+            run_suite(GridBounds(0, 0), state_cap=None)
 
 
 def test_determined_values_examples():

@@ -105,6 +105,9 @@ def test_w_value():
     assert w_value(RootTuple(2, (1, 1, 0, 0)), 1) == 0
     with pytest.raises(ValueError):
         w_value(RootTuple(5, (1, 0)), 1)
+    for index in (True, 1.0, "1"):  # no coercion: a bool or float index is refused too
+        with pytest.raises(ValueError, match="separating-curve index must be an integer"):
+            w_value(RootTuple(5, (1, 0, 2, 0)), index)
 
 
 def test_a_invariant_values():

@@ -192,6 +192,24 @@ def test_the_one_twist_formula_feeds_every_consumer(monkeypatch):
     assert found != bfs_partition(4, 2, standard)
 
 
+def _one_sheet_moved_at_genus_3(real):
+    def broken(genus, r):
+        counts = real(genus, r)
+        return (counts[0] + 1, counts[1] - 1) if genus == 3 and isinstance(counts, tuple) else counts
+    return broken
+
+
+def test_a_failure_no_covering_row_reports_fails_orbit_census(monkeypatch):
+    # on the default grid (g = 2) only the a-invariance row covers genus 3, and it
+    # reports mixed orbits alone; the sheet total stays r^{2g}, so the report's
+    # comparison with the partition fails at (3, 2) and (3, 4)
+    real = orbispin.moduli.orbit_count_closed_form
+    monkeypatch.setattr(orbispin.moduli, "orbit_count_closed_form", _one_sheet_moved_at_genus_3(real))
+    results = {res.name: res for res in run_suite(GridBounds())}
+    assert [name for name, res in results.items() if not res.passed] == ["orbit-census"]
+    assert results["orbit-census"].detail.startswith("(g=3, r=2): census disagrees with brute-force orbits")
+
+
 def test_failed_census_names_its_gr(monkeypatch):
     monkeypatch.setattr(orbispin.moduli, "genus_one_orbit_size", lambda r, d: 1)
     results = {res.name: res for res in run_suite(GridBounds(max_genus=1, max_order=3))}
