@@ -16,17 +16,23 @@ census is purely combinatorial:
 
 For genus >= 1, whenever the state space fits under the cap, the report is
 verified against the brute-force orbit partition; a mismatch fails loudly.
-That self-check reads the process's one partition of (g, r), made by the
-first call at that (g, r), so every signature sharing it is checked
-against the same partition.
+Like the partition, the census depends only on (g, r), never on the cone
+data, so it is made at most once per (g, r) and process, keyed on (r, g)
+alone: the closed form with its checks on the first report at (g, r), and
+the self-check, against the process's one partition of (g, r), on the
+first report there whose cap admits r^{2g} states.  Every call still reads
+its own cap, so whether a report is checked stays a fact of that call.  A
+census or self-check that raises keeps nothing, so the next call at its
+(g, r) raises again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
-from .orbifold import _trusted, divisors
+from .orbifold import _as_int, _trusted, divisors
 from .orbits import genus_one_orbit_size, orbit_count_closed_form, partition_orbits
 from .roots import DEFAULT_STATE_CAP, _state_cap
 from .seifert import RootContext
@@ -43,27 +49,36 @@ BASE_NOTE = (
     "on the base orbifold"
 )
 
+Components = tuple[tuple[StandardForm, int], ...]
+
+
+def _components(components: Any, r: int, genus: int) -> Components:
+    """``components`` as a census of Z_r^{2g}, else ValueError: integer sheet
+    counts summing to r^{2g}, pairwise distinct labels, positive counts."""
+    components = tuple((label, _as_int(n, "sheet count")) for label, n in components)
+    total = r ** (2 * genus)
+    sheets = sum(n for _, n in components)
+    if sheets != total:
+        raise ValueError(f"sheet counts sum to {sheets}, expected r^(2g) = {total}")
+    labels = [label for label, _ in components]
+    if len(set(labels)) != len(labels):
+        raise ValueError("component labels must be pairwise distinct")
+    if any(n < 1 for _, n in components):
+        raise ValueError("sheet counts must be positive")
+    return components
+
 
 @dataclass(frozen=True)
 class ModuliReport:
     """Census of connected components and sheet counts for one covering."""
 
     context: RootContext
-    components: tuple[tuple[StandardForm, int], ...]
+    components: Components
     base_note = BASE_NOTE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        total = self.context.order ** (2 * self.context.genus)
-        sheets = sum(n for _, n in self.components)
-        if sheets != total:
-            raise ValueError(f"sheet counts sum to {sheets}, expected r^(2g) = {total}")
-        labels = [label for label, _ in self.components]
-        if len(set(labels)) != len(labels):
-            raise ValueError("component labels must be pairwise distinct")
-        for _, n in self.components:
-            if n < 1:
-                raise ValueError("sheet counts must be positive")
+        components = _components(self.components, self.context.order, self.context.genus)
+        object.__setattr__(self, "components", components)
 
     def total_sheets(self) -> int:
         return sum(n for _, n in self.components)
@@ -89,14 +104,10 @@ class ModuliReport:
         return "\n".join(lines)
 
 
-def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -> ModuliReport:
-    """Assemble the component/sheet census for a covering datum.
-
-    When g >= 1 and r^{2g} does not exceed ``state_cap`` the census is checked
-    against the brute-force orbit partition; a mismatch raises RuntimeError.
-    ``state_cap=None`` gives the closed form alone, with no self-check.
-    """
-    r, g = ctx.order, ctx.genus
+@cache
+def _census(r: int, g: int) -> Components:
+    """The closed-form census of Z_r^{2g}, checked by ``_components``; made
+    once per (g, r) and process, and a census that raises keeps nothing."""
     total = r ** (2 * g)
     components: list[tuple[StandardForm, int]]
     if g == 0:
@@ -113,14 +124,35 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
         forms = [_trusted(StandardForm, kind=k, order=r, genus=g, d=None)
                  for k in (KIND_ALL_ZERO, KIND_LAST_ONE)]
         components = [(form, counts[form.invariant]) for form in forms]
-    report = ModuliReport(ctx, tuple(components))
-    # the cap is read at genus 0 too, where one state needs no search
-    if state_cap is not None and total <= _state_cap(state_cap) and g:
-        partition = partition_orbits(ctx, cap=state_cap)
-        expected = {label: n for label, n in report.components}
-        observed = {rec.label: rec.size for rec in partition.orbits}
-        if expected != observed:
-            raise RuntimeError(
-                f"census disagrees with brute-force orbits: {expected} vs {observed}"
-            )
-    return report
+    return _components(components, r, g)
+
+
+def _self_check(ctx: RootContext, components: Components, cap: int) -> None:
+    """RuntimeError unless ``components`` match the orbits of the brute-force
+    partition at ctx's (g, r)."""
+    expected = dict(components)
+    observed = {rec.label: rec.size for rec in partition_orbits(ctx, cap=cap).orbits}
+    if expected != observed:
+        raise RuntimeError(
+            f"census disagrees with brute-force orbits: {expected} vs {observed}"
+        )
+
+
+# the (r, g) whose census passed its self-check in this process
+_CHECKED: set[tuple[int, int]] = set()
+
+
+def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -> ModuliReport:
+    """Assemble the component/sheet census for a covering datum.
+
+    When g >= 1 and r^{2g} does not exceed ``state_cap`` the census is checked
+    against the brute-force orbit partition; a mismatch raises RuntimeError.
+    ``state_cap=None`` gives the closed form alone, with no self-check.
+    """
+    r, g = ctx.order, ctx.genus
+    components = _census(r, g)
+    # the cap is read on every call, at genus 0 too, where one state needs no search
+    if state_cap is not None and r ** (2 * g) <= _state_cap(state_cap) and g and (r, g) not in _CHECKED:
+        _self_check(ctx, components, state_cap)
+        _CHECKED.add((r, g))
+    return _trusted(ModuliReport, context=ctx, components=components)

@@ -136,8 +136,9 @@ spaces go to the search.
 Of the 1,266 contexts of the benchmark's census, 731 have one state (237
 at genus 0, whose census runs no partition, and 494 at r = 1), the tables
 take the 294 at genus 1 and the handles 241, at (2, 2) to (2, 11) and
-(3, 2) to (3, 5).  A pass makes 1,029 partition calls over 90 (g, r), so
-939 of them repeat an earlier (g, r).
+(3, 2) to (3, 5).  Those 1,029 checked contexts span 90 (g, r), and
+``moduli_report`` keeps each (g, r)'s self-check, so a pass makes 90
+partition calls, one per (g, r).
 
 The twist formulas read only (g, r), never the cone data, so neither does
 the partition: each (g, r) is partitioned at most once per process, keyed

@@ -164,7 +164,7 @@ def check_censuses(solved: Solved, bounds: GridBounds, cap: int) -> Iterator[Che
 def check_witnesses(genera: Sequence[int], orders: Sequence[int], samples: int, seed: int) -> CheckResult:
     """Witness replay and canonical-form invariance on ``samples`` random
     roots per (g, r); genus 0 has no twist to scramble by."""
-    rng = random.Random(seed)
+    rng = random.Random(_as_int(seed, "seed"))
     checked = 0
     for g in genera:
         letters = list(standard_generators(g))
@@ -190,12 +190,13 @@ def run_suite(
 ) -> list[CheckResult]:
     bounds = bounds or GridBounds()
     cap = min(_state_cap(state_cap), CENSUS_STATES)
-    solved = _solve_grid(bounds, cap)
-    a_invariance, orbit_census, genus_one, moduli = check_censuses(solved, bounds, cap)
+    # first, so that a bad seed raises before any other row's work
     witnesses = check_witnesses(
         range(1, max(bounds.max_genus, 1) + 1), range(1, min(bounds.max_order, 6) + 1),
         WITNESS_SAMPLES, seed,
     )
+    solved = _solve_grid(bounds, cap)
+    a_invariance, orbit_census, genus_one, moduli = check_censuses(solved, bounds, cap)
     return [
         check_existence(solved, bounds), check_round_trip(solved, bounds), a_invariance,
         orbit_census, genus_one, witnesses, moduli,

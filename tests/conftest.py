@@ -1,11 +1,13 @@
 import pytest
 
 from orbispin import orbits
+from helpers import forget_censuses
 
 
 @pytest.fixture(autouse=True)
 def fresh_partitions():
-    """Start every test with no partition made, so that a test which patches an
-    engine or the twist formulas sees its patch run instead of an earlier
-    test's partition of the same (g, r)."""
+    """Start every test with no partition or census made, so that a test which
+    patches an engine, the twist formulas or a closed form sees its patch run
+    instead of an earlier test's result at the same (g, r)."""
     orbits._partition.cache_clear()
+    forget_censuses()

@@ -116,3 +116,21 @@ def context_for(genus, r):
             if is_hyperbolic(sig) and root_order_admissible(sig, r):
                 return solve_raymond_vasquez(sig, r)
     raise LookupError(f"no signature of genus {genus} with at most 3 cones admits order {r}")
+
+
+def contexts_at(genus, r):
+    """Solved contexts of genus ``genus`` at order r, from signatures with no
+    cone point or one, in ascending multiplicity."""
+    from orbispin import root_order_admissible, solve_raymond_vasquez
+
+    sigs = (OrbifoldSignature(genus, cones) for cones in [(), *((a,) for a in range(2, 4 * r + 4))])
+    return (solve_raymond_vasquez(sig, r) for sig in sigs if is_hyperbolic(sig) and root_order_admissible(sig, r))
+
+
+def forget_censuses():
+    """Drop every census and self-check outcome the process keeps, so that the
+    next report at each (g, r) runs the closed forms and the check again."""
+    from orbispin import moduli
+
+    moduli._census.cache_clear()
+    moduli._CHECKED.clear()

@@ -1,5 +1,8 @@
+from itertools import islice
+
 import pytest
 
+from orbispin import moduli, orbits
 from orbispin import (
     BASE_NOTE,
     ModuliReport,
@@ -8,10 +11,11 @@ from orbispin import (
     admissible_root_orders,
     divisors,
     moduli_report,
+    partition_orbits,
     solve_raymond_vasquez,
 )
 from orbispin.verification import GridBounds, hyperbolic_signatures
-from helpers import genus_one_signature
+from helpers import context_for, contexts_at, genus_one_signature
 
 
 def test_genus_zero_report_is_a_single_sheet():
@@ -63,6 +67,55 @@ def test_report_skips_cross_check_above_cap():
     ctx = solve_raymond_vasquez(OrbifoldSignature(2), 2)
     report = moduli_report(ctx, state_cap=1)  # too small to enumerate, no check
     assert report.total_sheets() == 16
+    assert orbits._partition.cache_info().currsize == 0
+
+
+def _refuse(*args):
+    raise AssertionError("a kept census was made again")
+
+
+@pytest.mark.parametrize("genus, r", [(1, 6), (2, 2), (3, 3), (3, 2)])
+def test_each_gr_is_censused_once(monkeypatch, genus, r):
+    # the genus-1 sizes, the even-r counts and the odd-r census, each checked by
+    # brute force: a second report at (g, r), through another signature, makes
+    # neither the closed form nor the comparison again
+    first, other = islice(contexts_at(genus, r), 2)
+    assert first.signature != other.signature
+    report = moduli_report(first)
+    for name in ("genus_one_orbit_size", "orbit_count_closed_form", "_self_check"):
+        monkeypatch.setattr(moduli, name, _refuse)
+    again = moduli_report(other)
+    assert again.context is other and again.components == report.components
+
+
+@pytest.mark.parametrize(
+    "genus, r, name, broken, failure",
+    [
+        (1, 2, "genus_one_orbit_size", lambda r, d: 1, "sheet counts sum to"),
+        (2, 2, "orbit_count_closed_form", lambda g, r: (10, 5), "sheet counts sum to"),
+        # the census itself holds and is kept; its comparison with (1, 3)'s orbits fails
+        (1, 2, "partition_orbits", lambda ctx, cap: partition_orbits(context_for(1, 3)), "census disagrees"),
+    ],
+)
+def test_a_failed_census_is_not_kept(monkeypatch, genus, r, name, broken, failure):
+    ctx = next(contexts_at(genus, r))
+    with monkeypatch.context() as patch:
+        patch.setattr(moduli, name, broken)
+        for _ in range(2):
+            with pytest.raises((ValueError, RuntimeError), match=failure):
+                moduli_report(ctx)
+    assert moduli_report(ctx).total_sheets() == r ** (2 * genus)
+
+
+def test_a_kept_census_still_reads_the_cap():
+    ctx = solve_raymond_vasquez(OrbifoldSignature(2), 2)
+    report = moduli_report(ctx, state_cap=1)  # kept, but not checked
+    assert orbits._partition.cache_info().currsize == 0
+    assert moduli_report(ctx) == report  # this call's cap admits the check
+    assert orbits._partition.cache_info().currsize == 1
+    for cap in (0, -1, 2.5, True):  # and the check is kept, but the cap still read
+        with pytest.raises(ValueError, match="state cap"):
+            moduli_report(ctx, state_cap=cap)
 
 
 def test_report_validation():
@@ -77,6 +130,10 @@ def test_report_validation():
                 (StandardForm("all_zero", 2, 2), 6),
             ),
         )
+    forms = (StandardForm("all_zero", 2, 2), StandardForm("last_one", 2, 2))
+    for sheets in ((10.0, 6.0), (True, 15)):  # each sums to 16
+        with pytest.raises(ValueError, match="sheet count must be an integer"):
+            ModuliReport(ctx, tuple(zip(forms, sheets)))
 
 
 def test_report_json_and_text():

@@ -18,11 +18,9 @@ from orbispin import (
     canonical_form,
     divisors,
     genus_one_orbit_size,
-    is_hyperbolic,
     orbit_count_closed_form,
     orbit_of,
     partition_orbits,
-    root_order_admissible,
     solve_raymond_vasquez,
     standard_generators,
 )
@@ -34,6 +32,7 @@ from helpers import (
     bfs_orbit,
     bfs_partition,
     context_for,
+    contexts_at,
     genus_one_pair_count,
     genus_one_signature,
 )
@@ -190,18 +189,11 @@ def test_state_cap_enforced():
         orbit_of(RootTuple(2, (0, 0, 0, 0)), cap=15)
 
 
-def _contexts(genus, r):
-    """Solved contexts of genus ``genus`` at order r, from signatures with no
-    cone point or one, in ascending multiplicity."""
-    sigs = (OrbifoldSignature(genus, cones) for cones in [(), *((a,) for a in range(2, 4 * r + 4))])
-    return (solve_raymond_vasquez(sig, r) for sig in sigs if is_hyperbolic(sig) and root_order_admissible(sig, r))
-
-
 @pytest.mark.parametrize("genus, r", [(2, 2), (3, 3), (1, 6), (1, 129), (1, 1), (3, 1)])
 def test_each_gr_is_partitioned_once(monkeypatch, genus, r):
     # the handles, the tables, the search and the one-state path: a second call
     # at (g, r), through the same signature or another, runs none of them
-    first, other = islice(_contexts(genus, r), 2)
+    first, other = islice(contexts_at(genus, r), 2)
     assert first.signature != other.signature
     partition = partition_orbits(first)
     for name in ("_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles", "_head"):

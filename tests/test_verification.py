@@ -14,7 +14,7 @@ from orbispin.cli import main
 from orbispin.verification import (
     WITNESS_SAMPLES, GridBounds, _solve_grid, check_round_trip, check_witnesses, run_suite,
 )
-from helpers import _twist, bfs_partition, context_for
+from helpers import _twist, bfs_partition, context_for, forget_censuses
 
 ROWS = (
     "existence", "round-trip", "a-invariance", "orbit-census",
@@ -72,6 +72,13 @@ def _verify_rows(capsys, grid):
     return code, {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
 
 
+def _patch_closed_form(monkeypatch, name, breaker):
+    """Replace the closed form ``name`` that moduli reads by ``breaker`` of it,
+    and drop the censuses kept so far, so that the next report runs the patch."""
+    monkeypatch.setattr(orbispin.moduli, name, breaker(getattr(orbispin.moduli, name)))
+    forget_censuses()
+
+
 def _swap_parities(real):
     def broken(genus, r):
         counts = real(genus, r)
@@ -98,7 +105,7 @@ def test_a_broken_closed_form_fails_the_rows_that_cover_it(
     # grid contexts of genus 1 and of genus 2 at r = 2 reach the moduli row
     grid = "g=2,n=1,alpha=3,r=4"
     assert _verify_rows(capsys, grid) == (0, set())
-    monkeypatch.setattr(orbispin.moduli, name, breaker(getattr(orbispin.moduli, name)))
+    _patch_closed_form(monkeypatch, name, breaker)
     assert _verify_rows(capsys, grid) == (1, failing)
 
 
@@ -203,17 +210,24 @@ def test_a_failure_no_covering_row_reports_fails_orbit_census(monkeypatch):
     # on the default grid (g = 2) only the a-invariance row covers genus 3, and it
     # reports mixed orbits alone; the sheet total stays r^{2g}, so the report's
     # comparison with the partition fails at (3, 2) and (3, 4)
-    real = orbispin.moduli.orbit_count_closed_form
-    monkeypatch.setattr(orbispin.moduli, "orbit_count_closed_form", _one_sheet_moved_at_genus_3(real))
+    _patch_closed_form(monkeypatch, "orbit_count_closed_form", _one_sheet_moved_at_genus_3)
     results = {res.name: res for res in run_suite(GridBounds())}
     assert [name for name, res in results.items() if not res.passed] == ["orbit-census"]
     assert results["orbit-census"].detail.startswith("(g=3, r=2): census disagrees with brute-force orbits")
 
 
 def test_failed_census_names_its_gr(monkeypatch):
-    monkeypatch.setattr(orbispin.moduli, "genus_one_orbit_size", lambda r, d: 1)
+    _patch_closed_form(monkeypatch, "genus_one_orbit_size", lambda real: lambda r, d: 1)
     results = {res.name: res for res in run_suite(GridBounds(max_genus=1, max_order=3))}
     assert results["genus-1-census"].detail.startswith("(g=1, r=2): sheet counts sum to 2")
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_seeds_refuse_non_integers(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_witnesses([1], [3], 2, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_suite(GridBounds(0, 0), seed=seed)
 
 
 @pytest.mark.parametrize(
