@@ -32,9 +32,11 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Any
 
-from .orbifold import _as_int, _trusted, divisors
-from .orbits import genus_one_orbit_size, orbit_count_closed_form, partition_orbits
-from .roots import DEFAULT_STATE_CAP, _state_cap
+from .orbifold import _trusted, divisors
+from .orbits import (
+    Components, _components, genus_one_orbit_size, orbit_count_closed_form, partition_orbits,
+)
+from .roots import DEFAULT_STATE_CAP, _within_cap
 from .seifert import RootContext
 from .twists import (
     KIND_ALL_ZERO,
@@ -49,25 +51,6 @@ BASE_NOTE = (
     "on the base orbifold"
 )
 
-Components = tuple[tuple[StandardForm, int], ...]
-
-
-def _components(components: Any, r: int, genus: int) -> Components:
-    """``components`` as a census of Z_r^{2g}, else ValueError: integer sheet
-    counts summing to r^{2g}, pairwise distinct labels, positive counts."""
-    components = tuple((label, _as_int(n, "sheet count")) for label, n in components)
-    total = r ** (2 * genus)
-    sheets = sum(n for _, n in components)
-    if sheets != total:
-        raise ValueError(f"sheet counts sum to {sheets}, expected r^(2g) = {total}")
-    labels = [label for label, _ in components]
-    if len(set(labels)) != len(labels):
-        raise ValueError("component labels must be pairwise distinct")
-    if any(n < 1 for _, n in components):
-        raise ValueError("sheet counts must be positive")
-    return components
-
-
 @dataclass(frozen=True)
 class ModuliReport:
     """Census of connected components and sheet counts for one covering."""
@@ -77,7 +60,9 @@ class ModuliReport:
     base_note = BASE_NOTE
 
     def __post_init__(self) -> None:
-        components = _components(self.components, self.context.order, self.context.genus)
+        components = _components(
+            self.components, self.context.order, self.context.genus, "component", "sheet count"
+        )
         object.__setattr__(self, "components", components)
 
     def total_sheets(self) -> int:
@@ -124,7 +109,7 @@ def _census(r: int, g: int) -> Components:
         forms = [_trusted(StandardForm, kind=k, order=r, genus=g, d=None)
                  for k in (KIND_ALL_ZERO, KIND_LAST_ONE)]
         components = [(form, counts[form.invariant]) for form in forms]
-    return _components(components, r, g)
+    return _components(components, r, g, "component", "sheet count")
 
 
 def _self_check(ctx: RootContext, components: Components, cap: int) -> None:
@@ -152,7 +137,7 @@ def moduli_report(ctx: RootContext, state_cap: int | None = DEFAULT_STATE_CAP) -
     r, g = ctx.order, ctx.genus
     components = _census(r, g)
     # the cap is read on every call, at genus 0 too, where one state needs no search
-    if state_cap is not None and r ** (2 * g) <= _state_cap(state_cap) and g and (r, g) not in _CHECKED:
+    if state_cap is not None and _within_cap(r, g, state_cap) and g and (r, g) not in _CHECKED:
         _self_check(ctx, components, state_cap)
         _CHECKED.add((r, g))
     return _trusted(ModuliReport, context=ctx, components=components)

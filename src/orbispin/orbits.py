@@ -159,6 +159,7 @@ them, J_2 being the Jordan totient.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Any, Callable
@@ -174,6 +175,34 @@ from .twists import (
     _twist,
     canonical_form,
 )
+
+
+Components = tuple[tuple[StandardForm, int], ...]
+
+
+def _of_gr(part: str, value: Any, kind: type, r: int, genus: int) -> None:
+    """ValueError unless ``value``, a label or representative of a ``part``,
+    is a ``kind`` of order r and genus g."""
+    if not isinstance(value, kind) or (value.order, value.genus) != (r, genus):
+        raise ValueError(f"{part} {reprlib.repr(value)} is not a {kind.__name__} of order {r} and genus {genus}")
+
+
+def _components(parts: Any, r: int, genus: int, part: str, size: str) -> Components:
+    """``parts``, pairs (label, size), as a census of Z_r^{2g}, else
+    ValueError: labels of order r and genus g, pairwise distinct, and sizes
+    positive integers summing to r^{2g}.  The one rule for both census
+    records, the orbit partition and the moduli report; ``part`` and
+    ``size`` name a part and its size in the messages."""
+    components = tuple((label, _as_int(n, size, 1)) for label, n in parts)
+    for label, _ in components:
+        _of_gr(f"{part} label", label, StandardForm, r, genus)
+    total = r ** (2 * genus)
+    sizes = sum(n for _, n in components)
+    if sizes != total:
+        raise ValueError(f"{size}s sum to {sizes}, expected r^(2g) = {total}")
+    if len({label for label, _ in components}) != len(components):
+        raise ValueError(f"{part} labels must be pairwise distinct")
+    return components
 
 
 @dataclass(frozen=True)
@@ -192,12 +221,12 @@ class OrbitPartition:
     orbits: tuple[OrbitRecord, ...]
 
     def __post_init__(self) -> None:
-        total = sum(rec.size for rec in self.orbits)
-        if total != self.order ** (2 * self.genus):
-            raise ValueError(f"orbit sizes sum to {total}, expected r^(2g)")
-        labels = [rec.label for rec in self.orbits]
-        if len(set(labels)) != len(labels):
-            raise ValueError("orbit labels must be pairwise distinct")
+        r, genus = _as_int(self.order, "order", 1), _as_int(self.genus, "genus", 0)
+        object.__setattr__(self, "order", r)
+        object.__setattr__(self, "genus", genus)
+        for rec in self.orbits:
+            _of_gr("orbit representative", rec.representative, RootTuple, r, genus)
+        _components(((rec.label, rec.size) for rec in self.orbits), r, genus, "orbit", "orbit size")
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(rec.size for rec in self.orbits)

@@ -54,11 +54,18 @@ def _state_cap(cap: Any) -> int:
     return _as_int(cap, "state cap", 1)
 
 
+def _within_cap(r: int, genus: int, cap: int | None) -> bool:
+    """Whether the r^{2g} root tuples fit under the state cap ``cap`` (None
+    for no cap); the one comparison of a state space with a cap, so every
+    bound on brute force reads it."""
+    return cap is None or r ** (2 * genus) <= _state_cap(cap)
+
+
 def _check_state_count(r: int, genus: int, cap: int | None) -> int:
     """The number r^{2g} of root tuples; CountOverflow when it exceeds ``cap``
     (None for no cap)."""
     total = r ** (2 * genus)
-    if cap is not None and total > _state_cap(cap):
+    if not _within_cap(r, genus, cap):
         raise CountOverflow(f"{total} roots exceed the state cap {cap}")
     return total
 

@@ -25,7 +25,7 @@ from .orbifold import (
     OrbifoldSignature, _as_int, admissible_root_orders, is_hyperbolic, root_order_admissible,
 )
 from .orbits import standard_generators
-from .roots import DEFAULT_STATE_CAP, RootTuple, _state_cap
+from .roots import DEFAULT_STATE_CAP, RootTuple, _state_cap, _within_cap
 from .seifert import RootContext, recognize_fibre_index, solve_raymond_vasquez
 from .twists import apply_word, canonical_form, reduce_with_witness
 
@@ -76,7 +76,7 @@ def _solve_grid(bounds: GridBounds, cap: int) -> Solved:
     solved: Solved = {}
     for sig in hyperbolic_signatures(bounds):
         orders = admissible_root_orders(sig)
-        beyond = [r for r in orders if r > bounds.max_order and r ** (2 * sig.genus) <= cap]
+        beyond = [r for r in orders if r > bounds.max_order and _within_cap(r, sig.genus, cap)]
         for r in [*range(1, bounds.max_order + 1), *beyond]:
             try:
                 solved[sig, r] = solve_raymond_vasquez(sig, r)
@@ -130,13 +130,13 @@ def check_censuses(solved: Solved, bounds: GridBounds, cap: int) -> Iterator[Che
     distinct (g, r) they cover, each with r^{2g} <= cap.  The a-invariance
     row fails on a mixed orbit alone, the census rows on any failed check,
     and orbit-census also on a failure that no row covering its (g, r) reports."""
-    grid = [c for c in solved.values() if c is not None and c.order ** (2 * c.genus) <= cap]
-    parity = [(g, r) for g in (2, 3) for r in (2, 4) if r ** (2 * g) <= cap]
+    grid = [c for c in solved.values() if c is not None and _within_cap(c.order, c.genus, cap)]
+    parity = [(g, r) for g in (2, 3) for r in (2, 4) if _within_cap(r, g, cap)]
     small = [
         (g, r) for g, r in SMALL_CENSUS
-        if r <= bounds.max_order and g <= max(bounds.max_genus, 2) and r ** (2 * g) <= cap
+        if r <= bounds.max_order and g <= max(bounds.max_genus, 2) and _within_cap(r, g, cap)
     ]
-    genus_one = [(1, r) for r in range(1, min(bounds.max_order, 24) + 1) if r * r <= cap]
+    genus_one = [(1, r) for r in range(1, min(bounds.max_order, 24) + 1) if _within_cap(r, 1, cap)]
     census = (RuntimeError, ValueError)
     rows = [
         ("a-invariance", parity, MixedOrbit, f"labels constant on every orbit of {parity}"),

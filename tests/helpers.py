@@ -1,4 +1,4 @@
-"""Shared test utilities: census signatures and independent oracles.
+"""Shared test utilities: contexts per (g, r) and independent oracles.
 
 The Euler characteristic and Euler number oracles add one Fraction per
 term.  The orbit oracles count pairs and search tuples directly, from the
@@ -29,19 +29,6 @@ def euler_by_fraction_sum(inv):
     for a, b in inv.multiple_fibres:
         value += Fraction(b, a)
     return -value
-
-
-# hyperbolic signatures admitting the listed order, for orbit census checks
-CENSUS_SIGNATURES = {
-    (2, 2): OrbifoldSignature(2),
-    (2, 3): OrbifoldSignature(2, (2, 2)),
-    (2, 4): OrbifoldSignature(2, (3,)),
-    (2, 5): OrbifoldSignature(2, (2,)),
-    (2, 6): OrbifoldSignature(2, (5, 5)),
-    (3, 2): OrbifoldSignature(3),
-    (3, 3): OrbifoldSignature(3, (2,)),
-    (3, 4): OrbifoldSignature(3),
-}
 
 
 def genus_one_signature(r):
@@ -134,3 +121,14 @@ def forget_censuses():
 
     moduli._census.cache_clear()
     moduli._CHECKED.clear()
+
+
+def checked_report(ctx):
+    """ctx's moduli report under a cap of exactly r^{2g}, so that its
+    self-check compares the closed-form census with the brute-force
+    partition and raises on any difference; None unless that check has
+    passed at ctx's (g, r) in this process."""
+    from orbispin import moduli
+
+    report = moduli.moduli_report(ctx, state_cap=ctx.order ** (2 * ctx.genus))
+    return report if (ctx.order, ctx.genus) in moduli._CHECKED else None

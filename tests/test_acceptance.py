@@ -4,9 +4,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Expected values are frozen from independent computations: the
 brute-force relation search in ``verification.check_existence``,
 hand-evaluated closed forms, and direct pair counting over Z_r^2.  Criteria
-1, 7 and 9 run the checks of ``orbispin verify`` at their own grid, sample
-count and seed, and assert the counts those checks report.  All comparisons
-are exact; there are no tolerances anywhere.
+1, 7, 8 and 9 run the checks of ``orbispin verify`` at their own grid,
+sample count, seed and state bound, and assert the counts those checks
+report.  Criteria 4, 5 and 8 compare the closed-form census with the
+brute-force partition through the library's one comparison, the self-check
+of ``moduli_report``, and assert that it ran.  All comparisons are exact;
+there are no tolerances anywhere.
 """
 
 from itertools import product
@@ -17,38 +20,37 @@ import pytest
 from orbispin import (
     RootTuple,
     SeifertInvariants,
-    admissible_root_orders,
     a_invariant,
     apply_generator,
     chi_orb,
     divisors,
-    moduli_report,
+    orbit_count_closed_form,
     orbit_of,
     partition_orbits,
     recognize_fibre_index,
     solve_raymond_vasquez,
     standard_generators,
 )
+from orbispin import moduli
 from orbispin.verification import (
     GridBounds,
     _solve_grid,
+    check_censuses,
     check_existence,
     check_round_trip,
     check_witnesses,
-    hyperbolic_signatures,
 )
-from helpers import CENSUS_SIGNATURES, genus_one_signature
+from helpers import checked_report, context_for, genus_one_signature
 
 ACCEPTANCE = GridBounds(max_genus=3, max_cones=3, max_multiplicity=9, max_order=60)
-GRID = hyperbolic_signatures(ACCEPTANCE)
 MODULI_STATE_BOUND = 1 << 20
 
 
 @pytest.fixture(scope="module")
 def solved():
-    """Every GRID signature at r = 1..60, solved once (None where refused);
-    a cap of 0 adds no census orders beyond r = 60."""
-    return _solve_grid(ACCEPTANCE, 0)
+    """Every grid signature at r = 1..60, then at its admissible orders beyond
+    60 with r^{2g} <= 2^20 states, solved once (None where refused)."""
+    return _solve_grid(ACCEPTANCE, MODULI_STATE_BOUND)
 
 
 def _report(number, description, ok, detail=""):
@@ -74,7 +76,7 @@ def test_criterion_1_existence_equivalence(solved):
 
 
 def test_criterion_2_exact_euler_identity(solved):
-    contexts = [ctx for ctx in solved.values() if ctx is not None]
+    contexts = [ctx for (_, r), ctx in solved.items() if ctx is not None and r <= ACCEPTANCE.max_order]
     violations = [ctx for ctx in contexts if ctx.order * ctx.euler_number != chi_orb(ctx.signature)]
     _report(
         2,
@@ -116,15 +118,12 @@ def test_criterion_4_even_order_census():
     }
     failures = []
     for (genus, r), (even_count, odd_count) in expected.items():
-        ctx = solve_raymond_vasquez(CENSUS_SIGNATURES[(genus, r)], r)
-        partition = partition_orbits(ctx)
-        sizes = {rec.label.kind: rec.size for rec in partition.orbits}
+        report = checked_report(context_for(genus, r))
+        sizes = report and {label.kind: n for label, n in report.components}
         all_zero = even_count if genus % 2 == 0 else odd_count
         last_one = odd_count if genus % 2 == 0 else even_count
-        if len(partition.orbits) != 2 or sizes != {
-            "all_zero": all_zero,
-            "last_one": last_one,
-        }:
+        kinds = {"all_zero": all_zero, "last_one": last_one}
+        if orbit_count_closed_form(genus, r) != (even_count, odd_count) or sizes != kinds:
             failures.append((genus, r, sizes))
     _report(
         4,
@@ -137,10 +136,10 @@ def test_criterion_4_even_order_census():
 def test_criterion_5_odd_order_census():
     failures = []
     for genus, r in [(2, 3), (2, 5), (3, 3)]:
-        ctx = solve_raymond_vasquez(CENSUS_SIGNATURES[(genus, r)], r)
-        partition = partition_orbits(ctx)
-        if partition.sizes() != (r ** (2 * genus),):
-            failures.append((genus, r, partition.sizes()))
+        report = checked_report(context_for(genus, r))
+        sheets = report and [n for _, n in report.components]
+        if sheets != [r ** (2 * genus)]:
+            failures.append((genus, r, sheets))
     _report(
         5,
         "odd-order action is transitive with orbit size r^(2g)",
@@ -186,35 +185,20 @@ def test_criterion_7_witness_soundness():
     )
 
 
-def test_criterion_8_moduli_report_consistency():
-    contexts = 0
-    failures = []
-    for sig in GRID:
-        for r in admissible_root_orders(sig):
-            if r ** (2 * sig.genus) > MODULI_STATE_BOUND:
-                continue
-            ctx = solve_raymond_vasquez(sig, r)
-            report = moduli_report(ctx, state_cap=None)  # the closed form alone
-            partition = partition_orbits(ctx, cap=MODULI_STATE_BOUND)
-            expected = {label: n for label, n in report.components}
-            observed = {rec.label: rec.size for rec in partition.orbits}
-            if expected != observed:
-                failures.append((sig.to_json(), r))
-            contexts += 1
-    genus_zero = 0
-    for sig in GRID:
-        if sig.genus != 0:
-            continue
-        for r in admissible_root_orders(sig):
-            report = moduli_report(solve_raymond_vasquez(sig, r))
-            if [n for _, n in report.components] != [1]:
-                failures.append((sig.to_json(), r, "genus-0"))
-            genus_zero += 1
+def test_criterion_8_moduli_report_consistency(solved):
+    # the moduli-census row reads each report's self-check, which ran at every
+    # (g, r) of genus >= 1; a genus-0 census other than one sheet is refused
+    rows = {res.name: res for res in check_censuses(solved, ACCEPTANCE, MODULI_STATE_BOUND)}
+    result = rows["moduli-census"]
+    reported = {
+        (ctx.order, ctx.genus) for ctx in solved.values()
+        if ctx is not None and ctx.genus and ctx.order ** (2 * ctx.genus) <= MODULI_STATE_BOUND
+    }
     _report(
         8,
         "census reports equal brute-force partitions; genus 0 is one sheet",
-        not failures,
-        f"{contexts} contexts under 2^20 states, {genus_zero} genus-0 reports",
+        result.passed and result.detail == "1418 reports" and reported <= moduli._CHECKED,
+        f"{result.detail} under 2^20 states, {len(reported)} (g, r) checked",
     )
 
 

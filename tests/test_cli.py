@@ -1,15 +1,18 @@
+import argparse
 import json
 import os
+import re
 import reprlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import orbispin
 from orbispin import RootContext, RootTuple, TwistWord
-from orbispin.cli import main
+from orbispin.cli import build_parser, main
 
 SIG_237 = '{"genus":0,"cone_points":[2,3,7]}'
 SIG_G1C3 = '{"genus":1,"cone_points":[3]}'
@@ -225,6 +228,21 @@ def test_only_the_capped_subcommands_read_the_state_cap(capsys, argv):
     code, out, err = run(capsys, *argv, "--cap", "5")
     assert (code, out, err) == (2, "", "UsageError: unrecognized arguments: --cap 5\n")
     assert run(capsys, *argv)[0] == 0
+
+
+def test_the_settable_options_are_counted():
+    # --json on all 11 subcommands, --cap on the 4 that read a state cap, --mode
+    # and --seed: a change that adds or removes one edits this count
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = Counter(
+        action.option_strings[-1] for parser in sub.choices.values() for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    )
+    assert options == {"--json": 11, "--cap": 4, "--mode": 1, "--seed": 1}
+    assert sum(options.values()) == 17
+    # and no setting comes from the environment
+    src = Path(orbispin.__file__).parent
+    assert not [path.name for path in src.glob("*.py") if re.search(r"\b(environ|getenv)\b", path.read_text())]
 
 
 def test_integers_may_carry_a_sign_and_spaces(capsys):

@@ -134,6 +134,14 @@ def test_report_validation():
     for sheets in ((10.0, 6.0), (True, 15)):  # each sums to 16
         with pytest.raises(ValueError, match="sheet count must be an integer"):
             ModuliReport(ctx, tuple(zip(forms, sheets)))
+    for labels in (  # each a label of another (g, r), or none
+        (StandardForm("genus1", 16, 1, 1),),
+        (StandardForm("all_zero", 4, 2), StandardForm("last_one", 4, 2)),
+        (StandardForm("all_zero", 2, 3), StandardForm("last_one", 2, 3)),
+        ("all_zero", "last_one"),
+    ):
+        with pytest.raises(ValueError, match="component label .* is not a StandardForm of order 2 and genus 2"):
+            ModuliReport(ctx, tuple(zip(labels, (16,) if len(labels) == 1 else (10, 6))))
 
 
 def test_report_json_and_text():

@@ -13,7 +13,9 @@ from orbispin import (
     MixedOrbit,
     OrbifoldSignature,
     OrbitPartition,
+    OrbitRecord,
     RootTuple,
+    StandardForm,
     TwistGenerator,
     canonical_form,
     divisors,
@@ -26,20 +28,16 @@ from orbispin import (
 )
 from orbispin.twists import _parity
 from helpers import (
-    CENSUS_SIGNATURES,
     _moves,
     _twist as tuple_twist,
     bfs_orbit,
     bfs_partition,
+    checked_report,
     context_for,
     contexts_at,
     genus_one_pair_count,
     genus_one_signature,
 )
-
-
-def _ctx(genus, r):
-    return solve_raymond_vasquez(CENSUS_SIGNATURES[(genus, r)], r)
 
 
 def test_orbit_of_examples():
@@ -55,14 +53,14 @@ def test_orbit_of_examples():
 
 
 def test_partition_genus_two_order_two():
-    partition = partition_orbits(_ctx(2, 2))
+    partition = partition_orbits(context_for(2, 2))
     assert sorted(partition.sizes()) == [6, 10]
     by_kind = {rec.label.kind: rec.size for rec in partition.orbits}
     assert by_kind == {"all_zero": 10, "last_one": 6}
 
 
 def test_partition_odd_order_is_transitive():
-    partition = partition_orbits(_ctx(2, 3))
+    partition = partition_orbits(context_for(2, 3))
     assert partition.sizes() == (81,)
     assert partition.orbits[0].label.kind == "all_zero"
 
@@ -76,7 +74,7 @@ def test_partition_genus_one_order_six():
 
 
 def test_representatives_are_lexicographic_minima():
-    partition = partition_orbits(_ctx(2, 2))
+    partition = partition_orbits(context_for(2, 2))
     for rec in partition.orbits:
         orbit = orbit_of(rec.representative)
         assert rec.representative.coords == min(t.coords for t in orbit)
@@ -141,7 +139,7 @@ def test_genus_one_orbits_match_ideal_classes():
 
 
 def test_partition_is_generator_set_independent():
-    base = partition_orbits(_ctx(2, 3))
+    base = partition_orbits(context_for(2, 3))
     extra = [
         TwistGenerator("U", 1),
         TwistGenerator("V", 1),
@@ -161,30 +159,18 @@ def test_partition_is_generator_set_independent():
 
 
 def test_partition_is_deterministic():
-    assert partition_orbits(_ctx(2, 2)) == partition_orbits(_ctx(2, 2))
-
-
-# hyperbolic signatures of genus 3 admitting the orders 5 and 6
-_EXTRA = {(3, 5): OrbifoldSignature(3, (2, 2)), (3, 6): OrbifoldSignature(3, (5,))}
+    assert partition_orbits(context_for(2, 2)) == partition_orbits(context_for(2, 2))
 
 
 def test_census_sweep_matches_closed_form_up_to_order_six():
     for genus in (2, 3):
         for r in range(1, 7):
-            sig = CENSUS_SIGNATURES.get((genus, r)) or _EXTRA.get((genus, r))
-            if sig is None:
-                sig = OrbifoldSignature(genus)  # r = 1 works everywhere
-            partition = partition_orbits(solve_raymond_vasquez(sig, r))
-            expected = orbit_count_closed_form(genus, r)
-            if isinstance(expected, tuple):
-                assert sorted(partition.sizes()) == sorted(expected)
-            else:
-                assert partition.sizes() == (expected,)
+            assert checked_report(context_for(genus, r)), (genus, r)
 
 
 def test_state_cap_enforced():
     with pytest.raises(CountOverflow):
-        partition_orbits(_ctx(2, 2), cap=15)
+        partition_orbits(context_for(2, 2), cap=15)
     with pytest.raises(CountOverflow):
         orbit_of(RootTuple(2, (0, 0, 0, 0)), cap=15)
 
@@ -203,7 +189,7 @@ def test_each_gr_is_partitioned_once(monkeypatch, genus, r):
 
 
 def test_a_kept_partition_still_checks_the_cap():
-    ctx = _ctx(2, 3)
+    ctx = context_for(2, 3)
     partition = partition_orbits(ctx)
     with pytest.raises(CountOverflow):
         partition_orbits(ctx, cap=80)
@@ -225,7 +211,7 @@ def test_a_mixed_orbit_is_not_kept(monkeypatch):
 
 
 def test_partition_json_shape():
-    data = partition_orbits(_ctx(2, 2)).to_json()
+    data = partition_orbits(context_for(2, 2)).to_json()
     assert data["r"] == 2 and data["g"] == 2
     assert sum(o["size"] for o in data["orbits"]) == 16
     for o in data["orbits"]:
@@ -240,6 +226,20 @@ def test_orbit_partition_refuses_bad_records():
         OrbitPartition(4, 1, (first, second))
     with pytest.raises(ValueError, match="orbit labels must be pairwise distinct"):
         OrbitPartition(4, 1, (first, replace(second, label=first.label), third))
+    # parts of another (g, r), and sizes that sum to r^{2g} but are not positive integers
+    with pytest.raises(ValueError, match="is not a RootTuple of order 2 and genus 2"):
+        OrbitPartition(2, 2, (OrbitRecord(RootTuple(3, (0, 0)), 16, StandardForm("genus0", 5, 0)),))
+    with pytest.raises(ValueError, match="orbit label .* is not a StandardForm of order 4 and genus 1"):
+        OrbitPartition(4, 1, (first, second, replace(third, label=StandardForm("genus1", 8, 1, 2))))
+    with pytest.raises(ValueError, match="orbit representative .* is not a RootTuple of order 4"):
+        OrbitPartition(4, 1, (first, second, replace(third, representative=RootTuple(8, (0, 2)))))
+    with pytest.raises(ValueError, match="orbit size must be an integer, got 1.0"):
+        OrbitPartition(4, 1, (replace(first, size=1.0), second, third))
+    with pytest.raises(ValueError, match="orbit size must be an integer >= 1, got -1"):
+        OrbitPartition(4, 1, (replace(first, size=5), second, replace(third, size=-1)))
+    for order, genus in ((4.0, 1), (4, True)):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            OrbitPartition(order, genus, (first, second, third))
 
 
 # every (g, r) with r^{2g} <= 4096; genus 0 has a single state at every r
@@ -293,23 +293,14 @@ def _refuse(*args):
     raise AssertionError("another engine was chosen")
 
 
-def _closed_form_sizes(partition: OrbitPartition):
-    """A genus >= 2 partition's sizes as orbit_count_closed_form gives them: the
-    one size at odd r, and (even, odd) by the parity of the labels at even r."""
-    if partition.order % 2:
-        (size,) = partition.sizes()
-        return size
-    sizes = {rec.label.invariant: rec.size for rec in partition.orbits}
-    return sizes.get(0), sizes.get(1)
-
-
 def test_engine_choice_follows_table_size(monkeypatch):
     # every space of genus >= 2 and r >= 2 goes handle by handle, however
     # small: (2, 2) has 80 cells (states x moves), (2, 6) 6,480, (3, 3) 5,832,
     # (4, 2) 2,816 and (5, 2) 14,336.  At genus 1 at most 2^15 cells go to the
     # tables and larger spaces to the breadth-first search: (1, 128) has
     # 32,768 and (1, 129) 33,282.  A space of one state (r = 1, or genus 0)
-    # runs no engine at all
+    # runs no engine at all.  The census's self-check reads the partition kept
+    # from the patched call
     engines = {"_orbits_by_tables", "_orbits_by_levels", "_orbits_by_handles"}
     for genus, r, engine in [(2, 2, "_orbits_by_handles"), (2, 6, "_orbits_by_handles"),
                              (3, 3, "_orbits_by_handles"), (4, 2, "_orbits_by_handles"),
@@ -319,16 +310,13 @@ def test_engine_choice_follows_table_size(monkeypatch):
         with monkeypatch.context() as patch:
             for other in engines - {engine}:
                 patch.setattr(orbits, other, _refuse)
-            partition = partition_orbits(context_for(genus, r))
+            partition = partition_orbits(ctx := context_for(genus, r))
         if engine is None:
             zero = RootTuple(r, (0,) * (2 * genus))
             assert [(rec.representative, rec.size, rec.label) for rec in partition.orbits] == [
                 (zero, 1, canonical_form(zero))]
-        elif genus == 1:
-            sizes = {rec.label.d: rec.size for rec in partition.orbits}
-            assert sizes == {d: genus_one_orbit_size(r, d) for d in divisors(r)}
         else:
-            assert _closed_form_sizes(partition) == orbit_count_closed_form(genus, r)
+            assert checked_report(ctx), (genus, r)
 
 
 @pytest.mark.parametrize("r", [*range(9, 17), 18, 20, 24])
@@ -675,9 +663,9 @@ def test_handle_engine_peak_memory():
 def test_handle_engine_checks_labels_past_the_states():
     # 2^48 states at even r: a label check that read every state could not
     # finish, so this space is reachable only through the check on classes
-    partition = partition_orbits(context_for(4, 64), cap=None)
-    assert partition.sizes() == orbit_count_closed_form(4, 64)
-    assert [rec.label.kind for rec in partition.orbits] == ["all_zero", "last_one"]
+    ctx = context_for(4, 64)
+    assert checked_report(ctx)
+    assert [rec.label.kind for rec in partition_orbits(ctx, cap=None).orbits] == ["all_zero", "last_one"]
 
 
 def test_handle_engine_joins_genus_two_past_the_states():
@@ -685,13 +673,11 @@ def test_handle_engine_joins_genus_two_past_the_states():
     # (s, omega, t), not Z_r^4, and at genus 3 it is joined once more; at (2, 50)
     # the last of its slabs of 6 omegas holds 2
     for genus, r in [(2, 50), (2, 100), (2, 181), (3, 120)]:
-        partition = partition_orbits(context_for(genus, r), cap=None)
-        assert _closed_form_sizes(partition) == orbit_count_closed_form(genus, r)
+        assert checked_report(context_for(genus, r)), (genus, r)
 
 
 def test_handle_engine_counts_past_int64():
     # 7^24 states, more than 2^67, and 2^12 product classes: sizes and least
     # members are Python ints, and no array holds one entry per state
-    partition = partition_orbits(context_for(12, 7), cap=None)
-    assert partition.sizes() == (7**24,)
-    assert partition.orbits[0].representative.coords == (0,) * 24
+    assert checked_report(ctx := context_for(12, 7))
+    assert partition_orbits(ctx, cap=None).orbits[0].representative.coords == (0,) * 24
